@@ -32,7 +32,7 @@ pub const HOT_CRATES: [&str; 4] = ["exec", "core", "session", "serve"];
 /// `# Panics` doc does **not** exempt `unwrap`/`expect`/`panic!` — the
 /// whole point of the conversion is that these paths return
 /// `MqoError`, and a documented panic is still a regression.
-pub const RESULT_FNS: [&str; 13] = [
+pub const RESULT_FNS: [&str; 14] = [
     "submit",
     "submit_sql",
     "plan_execute",
@@ -45,6 +45,7 @@ pub const RESULT_FNS: [&str; 13] = [
     "temp_sorted_on",
     "indexed_nl",
     "checkpoint",
+    "check_params_bound",
     "search_with",
 ];
 

@@ -1,12 +1,16 @@
 //! Criterion micro-benchmarks for the execution engine: shared vs
 //! unshared execution (the Figure 7 mechanism), the vectorized vs
 //! row-at-a-time operator paths (`vec_exec`), the `MQO_BATCH_ROWS`
-//! knob, and the borrow-based `eval_pred` hot path.
+//! knob, the borrow-based `eval_pred` hot path, and the two typed
+//! kernels (`nl_join`'s one-pass equi probe, `sort_by`'s `Int` key path)
+//! at the sizes the `batch-cold` workload runs them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_core::{optimize, Algorithm, OptContext, Options};
 use mqo_exec::ops::{self, Params};
-use mqo_exec::{execute_plan, execute_plan_with, generate_database, ExecMode, ExecOptions};
+use mqo_exec::{
+    execute_plan, execute_plan_with, generate_database, vops, ExecMode, ExecOptions, Table,
+};
 use mqo_expr::{Atom, CmpOp, Predicate, Value};
 use mqo_util::FxHashMap;
 use mqo_workloads::Tpcd;
@@ -127,10 +131,53 @@ fn bench_eval_pred_row(c: &mut Criterion) {
     group.finish();
 }
 
+/// The typed kernels at the shapes that dominate `batch-cold`: the
+/// largest nested-loops join there has a 479-row outer against a
+/// 60 000-row inner on one `c_i = c_j` atom, and the largest sort is
+/// 60 000 rows of nine columns on one `Int` key.
+fn bench_typed_kernels(c: &mut Criterion) {
+    use mqo_catalog::ColId;
+    // a multiplicative scramble: deterministic, no sorted runs
+    let scrambled = |i: i64, domain: i64| Value::Int(i * 7919 % domain);
+    let table = |base: u32, ncols: u32, nrows: i64, domain: i64| {
+        let rows = (0..nrows)
+            .map(|i| {
+                let mut row = vec![scrambled(i, domain)];
+                row.extend((1..ncols).map(|k| Value::Int(i + i64::from(k))));
+                row
+            })
+            .collect();
+        Table::new((base..base + ncols).map(ColId).collect(), rows)
+    };
+    let params = Params::default();
+
+    let (outer, inner) = (table(0, 3, 479, 15_013), table(10, 3, 60_000, 15_013));
+    let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
+    let mut group = c.benchmark_group("nl_join");
+    group.sample_size(10);
+    group.bench_function("equi 479x60000", |b| {
+        b.iter(|| black_box(vops::nl_join(&outer, &inner, &pred, &params, 1024).len()));
+    });
+    group.finish();
+
+    let unsorted = table(0, 9, 60_000, 15_013);
+    let mut group = c.benchmark_group("sort_by");
+    group.sample_size(10);
+    group.bench_function("int 60000x9", |b| {
+        b.iter(|| {
+            let mut t = unsorted.clone();
+            t.sort_by(&[ColId(0)]);
+            black_box(t.len())
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shared_vs_unshared,
     bench_vec_exec,
-    bench_eval_pred_row
+    bench_eval_pred_row,
+    bench_typed_kernels
 );
 criterion_main!(benches);

@@ -44,11 +44,16 @@ impl NullMask {
         self.words[w] |= 1 << (i & 63);
     }
 
-    /// True if any row is null.
+    /// True if any row is null. O(1): [`NullMask::set`] is the only
+    /// mutator and it never leaves a zero word at the end, so the word
+    /// vector is non-empty exactly when some bit is set. Comparison
+    /// kernels call this per comparison; scanning the words up to the
+    /// first null here made sorting a column whose nulls sit late
+    /// quadratic.
     #[inline]
     #[must_use]
     pub fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
+        !self.words.is_empty()
     }
 }
 
@@ -152,6 +157,33 @@ impl<'a> Cell<'a> {
             (a, b) => a.as_f64().unwrap().partial_cmp(&b.as_f64().unwrap()),
         }
     }
+
+    /// The cell as a hash-join key: `a.join_key() == b.join_key()` (both
+    /// `Some`) exactly when `a.cmp_maybe(b) == Some(Equal)`. Null and NaN
+    /// have no key (they equal nothing, themselves included); numbers
+    /// meet through `f64` as the comparison does, so `Int(3)` keys like
+    /// `Float(3.0)`, integers beyond 2^53 collide where their `f64`
+    /// images do, and `-0.0` keys like `0.0`; a string never keys like
+    /// a number.
+    pub(crate) fn join_key(self) -> Option<JoinKey<'a>> {
+        match self {
+            Cell::Null => None,
+            Cell::Str(s) => Some(JoinKey::Str(s)),
+            Cell::Int(i) => Some(JoinKey::Num((i as f64).to_bits())),
+            Cell::Float(f) if f.is_nan() => None,
+            Cell::Float(f) => Some(JoinKey::Num(if f == 0.0 { 0 } else { f.to_bits() })),
+        }
+    }
+}
+
+/// Equality class of a non-null cell under [`Cell::cmp_maybe`]; see
+/// [`Cell::join_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum JoinKey<'a> {
+    /// `f64` bit pattern of a number, `-0.0` folded into `0.0`.
+    Num(u64),
+    /// String bytes.
+    Str(&'a str),
 }
 
 /// One table column: typed data plus null bitmap.
@@ -293,6 +325,34 @@ impl Column {
             ColumnData::Str(d) if !self.nulls.any() => d[i].cmp(&d[j]),
             _ => self.cell(i).sort_cmp(self.cell(j)),
         }
+    }
+
+    /// `(key, row)` pairs of an `Int` column whose ascending order *is*
+    /// the stable [`Column::sort_cmp_rows`] order, so a sort extracts
+    /// them once instead of re-dispatching per comparison. The key is
+    /// the order-preserving bit image of `d[i] as f64` — the
+    /// comparison's own widening, so integers beyond 2^53 tie exactly
+    /// as they do there — and the row index breaks ties. Null keys are
+    /// 0, below every number: `i64 as f64` is never NaN, so the smallest
+    /// image (that of -2^63) is still positive. `None` for the other
+    /// representations.
+    pub(crate) fn int_sort_pairs(&self) -> Option<Vec<(u64, u32)>> {
+        let ColumnData::Int(d) = &self.data else {
+            return None;
+        };
+        let nulls = self.nulls.any();
+        let pairs = d.iter().enumerate().map(|(i, &x)| {
+            let bits = (x as f64).to_bits();
+            let key = if nulls && self.nulls.is_null(i) {
+                0
+            } else if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            };
+            (key, i as u32)
+        });
+        Some(pairs.collect())
     }
 
     /// Total comparison of `self[i]` against `other[j]`.
@@ -626,6 +686,38 @@ mod tests {
         assert_eq!(g.get(0), Value::Int(3));
         assert!(g.is_null(1) && g.is_null(2));
         assert_eq!(g.get(3), Value::Int(1));
+    }
+
+    /// The hash-join key contract: two cells share a key exactly when
+    /// the predicate comparison calls them equal.
+    #[test]
+    fn join_key_equality_is_cmp_maybe_equal() {
+        const BIG: i64 = 1 << 53;
+        let vals = [
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(3.5),
+            Value::Int(BIG),
+            Value::Int(BIG + 1),
+            Value::Int(BIG + 2),
+            Value::Float(BIG as f64),
+            Value::Float(f64::INFINITY),
+            Value::str(""),
+            Value::str("3"),
+            Value::str("a"),
+        ];
+        for a in vals.iter().map(Cell::of) {
+            for b in vals.iter().map(Cell::of) {
+                let same_key = a.join_key().is_some() && a.join_key() == b.join_key();
+                let equal = a.cmp_maybe(b) == Some(Ordering::Equal);
+                assert_eq!(same_key, equal, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     /// Regression for the NaN sort-ordering bug: `Cell::sort_cmp` used

@@ -15,7 +15,7 @@ use crate::table::{Database, Table};
 use crate::vops;
 use mqo_catalog::Catalog;
 use mqo_chaos::Seam;
-use mqo_expr::{ParamId, Value};
+use mqo_expr::{Atom, ParamId, Value};
 use mqo_physical::{Algo, ChosenOp, ExtractedPlan, PhysNodeId, PhysProp, PhysicalDag};
 use mqo_util::{ErrorStage, FxHashMap, MqoError};
 use std::sync::Arc;
@@ -260,8 +260,10 @@ pub fn execute_plan_seeded(
 /// # Errors
 ///
 /// `MissingSeed` when `plan.warm_used` references a node absent from
-/// `seeds`; `PlanBroken` for malformed plans; `FaultInjected` from
-/// `mqo-chaos` seams (`temp-build`, `exec-operator`, `column-alloc`).
+/// `seeds`; `PlanBroken` for malformed plans, a chosen operator whose
+/// predicate names a parameter `params` does not bind included (checked
+/// before anything runs); `FaultInjected` from `mqo-chaos` seams
+/// (`temp-build`, `exec-operator`, `column-alloc`).
 pub fn try_execute_plan_seeded(
     catalog: &Catalog,
     pdag: &PhysicalDag,
@@ -272,6 +274,7 @@ pub fn try_execute_plan_seeded(
     seeds: &FxHashMap<PhysNodeId, Arc<Table>>,
 ) -> Result<SeededOutcome, MqoError> {
     let start = Instant::now();
+    check_params_bound(pdag, plan, params)?;
     let mut temps: FxHashMap<PhysNodeId, Arc<Table>> = FxHashMap::default();
     for &w in &plan.warm_used {
         let t = seeds.get(&w).ok_or_else(|| {
@@ -357,6 +360,52 @@ pub fn try_execute_plan_seeded(
         },
         built_temps,
     })
+}
+
+/// Rejects a plan whose chosen operators reference a `Param` that
+/// `params` leaves unbound — the operators themselves panic on one.
+/// Nodes are visited in id order so the reported parameter is stable.
+fn check_params_bound(
+    pdag: &PhysicalDag,
+    plan: &ExtractedPlan,
+    params: &Params,
+) -> Result<(), MqoError> {
+    for (&n, choice) in mqo_util::sorted_entries(&plan.choices) {
+        let &ChosenOp::Compute(op) = choice else {
+            continue;
+        };
+        let pred = match &pdag.op(op).algo {
+            Algo::IndexedSelect { pred, .. }
+            | Algo::TempIndexedSelect { pred, .. }
+            | Algo::Filter { pred }
+            | Algo::NestLoopsJoin { pred } => pred,
+            Algo::MergeJoin { residual, .. }
+            | Algo::IndexedNLJoinBase { residual, .. }
+            | Algo::IndexedNLJoinTemp { residual, .. } => residual,
+            Algo::TableScan { .. }
+            | Algo::Sort { .. }
+            | Algo::SortAggregate { .. }
+            | Algo::Project { .. }
+            | Algo::Root => continue,
+        };
+        let unbound = pred
+            .disjuncts()
+            .iter()
+            .flat_map(|d| d.atoms())
+            .find_map(|a| match a {
+                Atom::Param { param, .. } if !params.contains_key(param) => Some(*param),
+                _ => None,
+            });
+        if let Some(param) = unbound {
+            return Err(MqoError::plan_broken(
+                n.to_string(),
+                format!(
+                    "operator of node {n} reads parameter :{param}, which the submit does not bind"
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Stateful plan evaluator (temps live across query evaluations).

@@ -161,7 +161,10 @@ impl Table {
     }
 
     /// Sorts the rows by the given keys (ascending, Null first, stable)
-    /// via a column-level argsort + gather.
+    /// via a column-level argsort + gather. A single `Int` key sorts
+    /// pre-extracted `(key, row)` pairs (`Column::int_sort_pairs`);
+    /// every other key list goes through the row comparator. Both give
+    /// the same permutation.
     ///
     /// # Panics
     ///
@@ -169,13 +172,26 @@ impl Table {
     /// columns mix strings with numbers.
     pub fn sort_by(&mut self, keys: &[ColId]) {
         let pos: Vec<usize> = keys.iter().map(|&k| self.col_pos(k)).collect();
-        let mut idx: Vec<u32> = (0..self.n_rows as u32).collect();
-        idx.sort_by(|&a, &b| {
-            pos.iter()
-                .map(|&p| self.cols[p].sort_cmp_rows(a as usize, b as usize))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let typed = match pos[..] {
+            [p] => self.cols[p].int_sort_pairs(),
+            _ => None,
+        };
+        let idx: Vec<u32> = match typed {
+            Some(mut pairs) => {
+                pairs.sort_unstable();
+                pairs.into_iter().map(|(_, row)| row).collect()
+            }
+            None => {
+                let mut idx: Vec<u32> = (0..self.n_rows as u32).collect();
+                idx.sort_by(|&a, &b| {
+                    pos.iter()
+                        .map(|&p| self.cols[p].sort_cmp_rows(a as usize, b as usize))
+                        .find(|o| *o != std::cmp::Ordering::Equal)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                idx
+            }
+        };
         if !idx.iter().enumerate().all(|(k, &i)| k as u32 == i) {
             self.cols = self.cols.iter().map(|c| Arc::new(c.gather(&idx))).collect();
         }
@@ -392,6 +408,50 @@ mod tests {
         assert_eq!(t.to_rows(), rows);
         assert_eq!(t.row(1), rows[1]);
         assert_eq!(t.rows().count(), 2);
+    }
+
+    /// Regression for the hidden quadratic: `NullMask::any` scanned the
+    /// mask words up to the first null and the sort comparators call it
+    /// per comparison, so a sort on a key whose nulls sit at the end was
+    /// O(n log n · n/64) — at 50 000 rows two orders of magnitude over
+    /// the null-free sort. Both the typed single-key path and the
+    /// comparator path must stay within a small multiple (best of three
+    /// each, so a scheduling hiccup cannot fail it).
+    #[test]
+    fn nullable_sort_costs_a_small_multiple_of_null_free() {
+        let build = |nullable: bool| {
+            let rows = (0..50_000i64)
+                .map(|i| {
+                    let key = if nullable && i >= 49_990 {
+                        Value::Null
+                    } else {
+                        v(i * 7919 % 10_007)
+                    };
+                    vec![key.clone(), key]
+                })
+                .collect();
+            Table::new(vec![c(0), c(1)], rows)
+        };
+        let best_of_three = |t: &Table, keys: &[ColId]| {
+            (0..3)
+                .map(|_| {
+                    let mut t = t.clone();
+                    let start = std::time::Instant::now();
+                    t.sort_by(keys);
+                    start.elapsed()
+                })
+                .min()
+                .expect("three runs")
+        };
+        let (plain, nullable) = (build(false), build(true));
+        for keys in [&[c(0)][..], &[c(0), c(1)][..]] {
+            let (base, with_nulls) = (best_of_three(&plain, keys), best_of_three(&nullable, keys));
+            assert!(
+                with_nulls <= base * 10,
+                "{} key(s): nullable {with_nulls:?} vs null-free {base:?}",
+                keys.len()
+            );
+        }
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! in [`crate::ops`] and must produce bit-identical output tables;
 //! `tests/parity.rs` pins that equivalence on randomized inputs.
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{Column, ColumnBuilder, JoinKey};
 use crate::ops::{self, Params};
 use crate::table::Table;
 use mqo_catalog::ColId;
-use mqo_expr::{AggExpr, Atom, CmpOp, Predicate, ScalarExpr, Value};
+use mqo_expr::{AggExpr, Atom, CmpOp, Conjunct, Predicate, ScalarExpr, Value};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// One side of a vectorized atom: a column of the probed input, a
 /// broadcast cell (the current outer row of a join probe), or a column
@@ -91,44 +92,37 @@ fn refine_atom<'a>(
     }
 }
 
-/// Fills `out` with the row indices of `[start, end)` satisfying `pred`
-/// (OR-of-ANDs: each conjunct refines an identity selection atom by
-/// atom; disjuncts union by sorted merge). Indices stay sorted.
+/// Retains in `sel` (ascending row indices) the rows satisfying `pred`
+/// (OR-of-ANDs: each conjunct refines the candidates atom by atom;
+/// disjuncts union by sorted merge). Indices stay sorted.
 ///
 /// # Panics
 ///
 /// Panics when `pred` references a parameter absent from `params`.
-pub fn eval_pred_range<'a>(
+pub fn refine_pred<'a>(
     pred: &Predicate,
     side: &impl Fn(ColId) -> VSide<'a>,
     params: &Params,
-    start: u32,
-    end: u32,
-    out: &mut Vec<u32>,
+    sel: &mut Vec<u32>,
     scratch: &mut Vec<u32>,
 ) {
-    out.clear();
-    let disjuncts = pred.disjuncts();
-    if disjuncts.len() == 1 {
-        out.extend(start..end);
-        for a in disjuncts[0].atoms() {
-            if out.is_empty() {
+    let refine_conjunct = |d: &Conjunct, sel: &mut Vec<u32>| {
+        for a in d.atoms() {
+            if sel.is_empty() {
                 return;
             }
-            refine_atom(a, side, params, out);
+            refine_atom(a, side, params, sel);
         }
-        return;
+    };
+    if let [d] = pred.disjuncts() {
+        return refine_conjunct(d, sel);
     }
-    for d in disjuncts {
+    let candidates = std::mem::take(sel);
+    for d in pred.disjuncts() {
         scratch.clear();
-        scratch.extend(start..end);
-        for a in d.atoms() {
-            if scratch.is_empty() {
-                break;
-            }
-            refine_atom(a, side, params, scratch);
-        }
-        union_sorted(out, scratch);
+        scratch.extend_from_slice(&candidates);
+        refine_conjunct(d, scratch);
+        union_sorted(sel, scratch);
     }
 }
 
@@ -201,20 +195,14 @@ fn select_range(
 ) -> Vec<u32> {
     let side = table_side(t);
     let mut all = Vec::new();
-    let (mut out, mut scratch) = (Vec::new(), Vec::new());
+    let (mut sel, mut scratch) = (Vec::new(), Vec::new());
     let mut s = lo;
     while s < hi {
         let e = (s + batch.max(1)).min(hi);
-        eval_pred_range(
-            pred,
-            &side,
-            params,
-            s as u32,
-            e as u32,
-            &mut out,
-            &mut scratch,
-        );
-        all.extend_from_slice(&out);
+        sel.clear();
+        sel.extend(s as u32..e as u32);
+        refine_pred(pred, &side, params, &mut sel, &mut scratch);
+        all.extend_from_slice(&sel);
         s = e;
     }
     all
@@ -237,19 +225,85 @@ fn gather_table(t: &Table, sel: &[u32]) -> Table {
     )
 }
 
-/// Builds the concatenated join output from matched (left, right) row
-/// index pairs, gathering each side's columns once.
-fn join_output(left: &Table, right: &Table, left_idx: &[u32], right_idx: &[u32]) -> Table {
-    let mut schema = left.schema.clone();
-    schema.extend(right.schema.iter().copied());
-    let mut cols = Vec::with_capacity(schema.len());
-    for p in 0..left.schema.len() {
-        cols.push(left.col(p).gather(left_idx));
+/// A join's matches, accumulated as (left, right) row-index pairs.
+/// Every join kernel is a *candidate source*: per left row it names the
+/// ascending right rows that can still match (the whole input, a key
+/// group, an index range, a hash bucket) and [`JoinMatches::probe`]
+/// keeps those passing the residual, `batch` candidates at a time.
+struct JoinMatches<'a> {
+    left: &'a Table,
+    right: &'a Table,
+    residual: &'a Predicate,
+    params: &'a Params,
+    batch: usize,
+    left_idx: Vec<u32>,
+    right_idx: Vec<u32>,
+    sel: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl<'a> JoinMatches<'a> {
+    fn new(
+        left: &'a Table,
+        right: &'a Table,
+        residual: &'a Predicate,
+        params: &'a Params,
+        batch: usize,
+    ) -> Self {
+        JoinMatches {
+            left,
+            right,
+            residual,
+            params,
+            batch: batch.max(1),
+            left_idx: Vec::new(),
+            right_idx: Vec::new(),
+            sel: Vec::new(),
+            scratch: Vec::new(),
+        }
     }
-    for p in 0..right.schema.len() {
-        cols.push(right.col(p).gather(right_idx));
+
+    /// Pairs left row `l` with each of `candidates` (ascending right
+    /// rows) that satisfies the residual, `l`'s cells broadcast.
+    fn probe(&mut self, l: usize, mut candidates: impl Iterator<Item = u32>) {
+        if self.residual.is_true() {
+            self.right_idx.extend(candidates);
+        } else {
+            let side = join_side(self.left, l, self.right);
+            loop {
+                self.sel.clear();
+                self.sel.extend(candidates.by_ref().take(self.batch));
+                if self.sel.is_empty() {
+                    break;
+                }
+                refine_pred(
+                    self.residual,
+                    &side,
+                    self.params,
+                    &mut self.sel,
+                    &mut self.scratch,
+                );
+                self.right_idx.extend_from_slice(&self.sel);
+            }
+        }
+        // one `l` per right row just matched: the two stay the same length
+        self.left_idx.resize(self.right_idx.len(), l as u32);
     }
-    Table::from_columns(schema, cols)
+
+    /// The concatenated join output, each side's columns gathered once.
+    fn finish(self) -> Table {
+        let (left, right) = (self.left, self.right);
+        let mut schema = left.schema.clone();
+        schema.extend(right.schema.iter().copied());
+        let mut cols = Vec::with_capacity(schema.len());
+        for p in 0..left.schema.len() {
+            cols.push(left.col(p).gather(&self.left_idx));
+        }
+        for p in 0..right.schema.len() {
+            cols.push(right.col(p).gather(&self.right_idx));
+        }
+        Table::from_columns(schema, cols)
+    }
 }
 
 /// Batched filter. A constant-TRUE predicate is zero-copy.
@@ -291,10 +345,14 @@ pub fn project(input: &Table, cols: &[ColId]) -> Table {
     Table::from_shared_columns(cols.to_vec(), shared, input.len())
 }
 
-/// Batched nested-loops join: for every outer row, the predicate runs
-/// vectorized over the inner table's columns with the outer cells
-/// broadcast; matches accumulate as index pairs and each side's columns
-/// are gathered once at the end.
+/// Batched nested-loops join. When the predicate is one conjunct with
+/// an `outer column = inner column` atom, the (small) outer block is
+/// hashed on that key and the inner is scanned **once** — the in-memory
+/// half of the block nested-loops join the cost model charges — with the
+/// remaining atoms run as a residual over each outer row's bucket.
+/// Any other predicate runs vectorized over the whole inner per outer
+/// row, outer cells broadcast. Either way matches come out outer-major,
+/// inner row ascending, and each side's columns are gathered once.
 #[must_use]
 pub fn nl_join(
     outer: &Table,
@@ -303,31 +361,112 @@ pub fn nl_join(
     params: &Params,
     batch: usize,
 ) -> Table {
-    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-    let (mut sel, mut scratch) = (Vec::new(), Vec::new());
-    let n_inner = inner.len();
-    for o in 0..outer.len() {
-        let side = join_side(outer, o, inner);
-        let mut s = 0usize;
-        while s < n_inner {
-            let e = (s + batch.max(1)).min(n_inner);
-            eval_pred_range(
-                pred,
-                &side,
-                params,
-                s as u32,
-                e as u32,
-                &mut sel,
-                &mut scratch,
-            );
-            for &r in &sel {
-                left_idx.push(o as u32);
-                right_idx.push(r);
-            }
-            s = e;
+    let Some((outer_key, inner_key, residual)) = equi_key(outer, inner, pred) else {
+        let mut m = JoinMatches::new(outer, inner, pred, params, batch);
+        for o in 0..outer.len() {
+            m.probe(o, 0..inner.len() as u32);
         }
+        return m.finish();
+    };
+    let buckets = HashBuckets::build(outer_key, inner_key);
+    let mut m = JoinMatches::new(outer, inner, &residual, params, batch);
+    for o in 0..outer.len() {
+        m.probe(o, buckets.of(o).iter().copied());
     }
-    join_output(outer, inner, &left_idx, &right_idx)
+    m.finish()
+}
+
+/// Splits a single-conjunct join predicate at its first equality between
+/// an outer and an inner column (columns resolve as [`join_side`] does:
+/// the outer schema wins): the two key columns and the other atoms.
+fn equi_key<'a>(
+    outer: &'a Table,
+    inner: &'a Table,
+    pred: &Predicate,
+) -> Option<(&'a Column, &'a Column, Predicate)> {
+    let [conjunct] = pred.disjuncts() else {
+        return None;
+    };
+    let pos = |t: &Table, c: ColId| t.schema.iter().position(|&x| x == c);
+    let atoms = conjunct.atoms();
+    atoms.iter().enumerate().find_map(|(k, atom)| {
+        let Atom::ColCmp {
+            left,
+            op: CmpOp::Eq,
+            right,
+        } = *atom
+        else {
+            return None;
+        };
+        let (o, i) = match (pos(outer, left), pos(outer, right)) {
+            (Some(o), None) => (o, pos(inner, right)?),
+            (None, Some(o)) => (o, pos(inner, left)?),
+            _ => return None,
+        };
+        let mut rest = atoms.to_vec();
+        rest.remove(k);
+        Some((outer.col(o), inner.col(i), Predicate::all(rest)))
+    })
+}
+
+/// Hash-join candidates in CSR form: `rows[starts[o]..starts[o + 1]]`
+/// are the inner rows, ascending, whose key equals outer row `o`'s under
+/// [`Cell::join_key`](crate::column::Cell::join_key).
+struct HashBuckets {
+    starts: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl HashBuckets {
+    /// Hashes the outer side (rows sharing a key chain through `next`),
+    /// scans the inner side once, and regroups the (outer, inner) hits
+    /// by outer row with a counting pass — stable, so each bucket keeps
+    /// scan order. The table is only ever probed, never iterated.
+    fn build(outer_key: &Column, inner_key: &Column) -> HashBuckets {
+        const END: u32 = u32::MAX;
+        let n_outer = outer_key.len();
+        let mut next = vec![END; n_outer];
+        // std's keyed SipHash, not the workspace's Fx: the keys are user
+        // data, and the `f64` images of small integers end in 30+ zero
+        // bits, which Fx's single multiply would leave as the bucket index.
+        let mut first: HashMap<JoinKey<'_>, u32> = HashMap::with_capacity(n_outer);
+        // back to front, so every chain runs in ascending outer row order
+        for o in (0..n_outer).rev() {
+            if let Some(key) = outer_key.cell(o).join_key() {
+                if let Some(later) = first.insert(key, o as u32) {
+                    next[o] = later;
+                }
+            }
+        }
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        let mut starts = vec![0usize; n_outer + 1];
+        for r in 0..inner_key.len() {
+            let Some(key) = inner_key.cell(r).join_key() else {
+                continue;
+            };
+            let mut o = first.get(&key).copied().unwrap_or(END);
+            while o != END {
+                hits.push((o, r as u32));
+                starts[o as usize + 1] += 1;
+                o = next[o as usize];
+            }
+        }
+        for o in 0..n_outer {
+            starts[o + 1] += starts[o];
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![0u32; hits.len()];
+        for (o, r) in hits {
+            rows[cursor[o as usize]] = r;
+            cursor[o as usize] += 1;
+        }
+        HashBuckets { starts, rows }
+    }
+
+    /// The bucket of outer row `o`.
+    fn of(&self, o: usize) -> &[u32] {
+        &self.rows[self.starts[o]..self.starts[o + 1]]
+    }
 }
 
 /// Batched merge join of two inputs sorted on their key columns. Group
@@ -353,9 +492,7 @@ pub fn merge_join(
             .find(|o| *o != Ordering::Equal)
             .unwrap_or(Ordering::Equal)
     };
-    let residual_true = residual.is_true();
-    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-    let (mut sel, mut scratch) = (Vec::new(), Vec::new());
+    let mut m = JoinMatches::new(left, right, residual, params, batch);
     let (nl, nr) = (left.len(), right.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < nl && j < nr {
@@ -372,35 +509,8 @@ pub fn merge_join(
                 while ii < nl && key_cmp(ii, j) == Ordering::Equal {
                     // SQL equality never matches a Null key — invariant
                     // per left row
-                    if lp.iter().any(|&p| left.col(p).is_null(ii)) {
-                        ii += 1;
-                        continue;
-                    }
-                    if residual_true {
-                        for r in j..j_end {
-                            left_idx.push(ii as u32);
-                            right_idx.push(r as u32);
-                        }
-                    } else {
-                        let side = join_side(left, ii, right);
-                        let mut s = j;
-                        while s < j_end {
-                            let e = (s + batch.max(1)).min(j_end);
-                            eval_pred_range(
-                                residual,
-                                &side,
-                                params,
-                                s as u32,
-                                e as u32,
-                                &mut sel,
-                                &mut scratch,
-                            );
-                            for &r in &sel {
-                                left_idx.push(ii as u32);
-                                right_idx.push(r);
-                            }
-                            s = e;
-                        }
+                    if !lp.iter().any(|&p| left.col(p).is_null(ii)) {
+                        m.probe(ii, j as u32..j_end as u32);
                     }
                     ii += 1;
                 }
@@ -409,7 +519,7 @@ pub fn merge_join(
             }
         }
     }
-    join_output(left, right, &left_idx, &right_idx)
+    m.finish()
 }
 
 /// Batched indexed nested-loops join: for each outer row, range-probe
@@ -425,43 +535,16 @@ pub fn indexed_nl_join(
     batch: usize,
 ) -> Table {
     let okp = outer.col_pos(outer_key);
-    let residual_true = residual.is_true();
-    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-    let (mut sel, mut scratch) = (Vec::new(), Vec::new());
+    let mut m = JoinMatches::new(outer, inner, residual, params, batch);
     for o in 0..outer.len() {
         if outer.col(okp).is_null(o) {
             continue;
         }
         let key = outer.col(okp).get(o);
         let (ps, pe) = inner.range_on_sorted(Some(&key), Some(&key));
-        if residual_true {
-            for r in ps..pe {
-                left_idx.push(o as u32);
-                right_idx.push(r as u32);
-            }
-        } else {
-            let side = join_side(outer, o, inner);
-            let mut s = ps;
-            while s < pe {
-                let e = (s + batch.max(1)).min(pe);
-                eval_pred_range(
-                    residual,
-                    &side,
-                    params,
-                    s as u32,
-                    e as u32,
-                    &mut sel,
-                    &mut scratch,
-                );
-                for &r in &sel {
-                    left_idx.push(o as u32);
-                    right_idx.push(r);
-                }
-                s = e;
-            }
-        }
+        m.probe(o, ps as u32..pe as u32);
     }
-    join_output(outer, inner, &left_idx, &right_idx)
+    m.finish()
 }
 
 /// Batched sort-based aggregation over an input sorted by `keys`

@@ -402,6 +402,286 @@ proptest! {
     }
 }
 
+// ---- directed cases for the typed kernels --------------------------------
+
+/// A two-column table `(key, tag)` with ids `base`, `base + 1`; the tag
+/// is the row's position, so row order and stability show in the output.
+fn keyed(base: u32, keys: Vec<Value>) -> Table {
+    let rows = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| vec![k, Value::Int(i as i64)])
+        .collect();
+    Table::new(vec![ColId(base), ColId(base + 1)], rows)
+}
+
+/// (name, outer keys, inner keys, predicate, expected matches)
+type EquiCase = (&'static str, Vec<Value>, Vec<Value>, Predicate, usize);
+
+/// The hash probe's key equality must be exactly `cmp_maybe == Equal`,
+/// and its output order exactly the loop's: every case is compared with
+/// the row engine's quadratic join at every batch size, and the match
+/// counts that define the contract are pinned so no case is vacuous.
+#[test]
+fn nl_join_equi_key_semantics() {
+    let i = Value::Int;
+    let f = Value::Float;
+    let s = Value::str;
+    let (ok, ot, ik, it) = (ColId(0), ColId(1), ColId(10), ColId(11));
+    let eq = || Predicate::atom(Atom::eq_cols(ok, ik));
+    const BIG: i64 = 1 << 53;
+    let cases: Vec<EquiCase> = vec![
+        (
+            "Null on either side never matches",
+            vec![Value::Null, i(1)],
+            vec![i(1), Value::Null, Value::Null],
+            eq(),
+            1,
+        ),
+        (
+            "NaN equals nothing, itself included",
+            vec![f(f64::NAN), f(1.0)],
+            vec![f(f64::NAN), f(1.0)],
+            eq(),
+            1,
+        ),
+        (
+            "-0.0 = 0.0 = Int(0)",
+            vec![f(-0.0), f(0.0)],
+            vec![f(0.0), f(-0.0), f(1.0)],
+            eq(),
+            4,
+        ),
+        (
+            "Int(0) meets -0.0",
+            vec![i(0)],
+            vec![f(-0.0), f(0.0)],
+            eq(),
+            2,
+        ),
+        (
+            "Int(3) = Float(3.0)",
+            vec![i(3), i(4)],
+            vec![f(3.0), f(3.5), f(4.0)],
+            eq(),
+            2,
+        ),
+        (
+            "2^53 and 2^53+1 collide as the f64 comparison does",
+            vec![i(BIG)],
+            vec![i(BIG + 1), i(BIG), i(BIG + 2), i(-BIG)],
+            eq(),
+            2,
+        ),
+        (
+            "string keys compare by bytes",
+            vec![s("a"), s("b"), s("")],
+            vec![s("b"), s("a"), s("c"), s("a"), s("A")],
+            eq(),
+            3,
+        ),
+        (
+            "a string never equals a number",
+            vec![s("1"), s("0")],
+            vec![i(1), i(0)],
+            eq(),
+            0,
+        ),
+        (
+            "mixed-type (Val) key columns go cell by cell",
+            vec![i(1), s("x"), Value::Null, f(1.0)],
+            vec![f(1.0), s("x"), i(1), Value::Null, s("1")],
+            eq(),
+            5,
+        ),
+        (
+            "duplicate keys on both sides",
+            vec![i(1), i(2), i(1), i(2)],
+            vec![i(2), i(1), i(1), i(2), i(3)],
+            eq(),
+            8,
+        ),
+        ("empty outer", vec![], vec![i(1)], eq(), 0),
+        ("empty inner", vec![i(1)], vec![], eq(), 0),
+        (
+            "all-Null outer",
+            vec![Value::Null, Value::Null],
+            vec![i(1)],
+            eq(),
+            0,
+        ),
+        (
+            "equi atom + column and constant range residuals",
+            vec![i(1), i(2), i(1)],
+            vec![i(1), i(1), i(2), i(1), i(2)],
+            Predicate::all(vec![
+                Atom::eq_cols(ok, ik),
+                Atom::col_cmp(ot, CmpOp::Lt, it),
+                Atom::cmp(it, CmpOp::Ge, 1i64),
+            ]),
+            5,
+        ),
+        (
+            "second equality is a residual of the first",
+            vec![i(0), i(1), i(2)],
+            vec![i(0), i(1), i(1), i(2)],
+            Predicate::all(vec![Atom::eq_cols(ok, ik), Atom::eq_cols(ot, it)]),
+            2,
+        ),
+        (
+            "bound parameter in the residual",
+            vec![i(1), i(1)],
+            vec![i(1), i(1), i(1)],
+            Predicate::all(vec![
+                Atom::eq_cols(ok, ik),
+                Atom::Param {
+                    col: it,
+                    op: CmpOp::Ne,
+                    param: ParamId(0),
+                },
+            ]),
+            4,
+        ),
+        (
+            "two disjuncts fall back to the loop",
+            vec![i(1), i(2), i(3)],
+            vec![i(2), i(1), i(9)],
+            Predicate::any(vec![
+                Conjunct::new(vec![Atom::eq_cols(ok, ik)]),
+                Conjunct::new(vec![Atom::cmp(ot, CmpOp::Eq, 2i64)]),
+            ]),
+            5,
+        ),
+        (
+            "no outer=inner equality falls back to the loop",
+            vec![i(1), i(2)],
+            vec![i(1), i(2)],
+            Predicate::all(vec![
+                Atom::eq_cols(ok, ot),
+                Atom::col_cmp(ok, CmpOp::Le, ik),
+            ]),
+            0,
+        ),
+    ];
+    let mut params = Params::default();
+    params.insert(ParamId(0), i(1));
+    for (name, outer_keys, inner_keys, pred, matches) in cases {
+        let (outer, inner) = (keyed(0, outer_keys), keyed(10, inner_keys));
+        let want = row_nl_join(&outer, &inner, &pred, &params);
+        assert_eq!(want.len(), matches, "{name}: oracle match count");
+        for b in BATCHES {
+            let got = vops::nl_join(&outer, &inner, &pred, &params, b);
+            assert!(tables_identical(&want, &got), "{name}: batch {b}");
+        }
+    }
+
+    // the atom written inner-column-first: the outer's ids are the
+    // higher ones, so the canonical atom's `left` is the inner column
+    let (outer, inner) = (
+        keyed(20, vec![i(1), i(2), Value::Null]),
+        keyed(10, vec![i(2), i(2), i(1)]),
+    );
+    let pred = Predicate::atom(Atom::eq_cols(ColId(20), ColId(10)));
+    assert!(matches!(
+        pred.disjuncts()[0].atoms(),
+        [Atom::ColCmp {
+            left: ColId(10),
+            ..
+        }]
+    ));
+    let want = row_nl_join(&outer, &inner, &pred, &params);
+    assert_eq!(want.len(), 3);
+    for b in BATCHES {
+        let got = vops::nl_join(&outer, &inner, &pred, &params, b);
+        assert!(tables_identical(&want, &got), "inner-first atom: batch {b}");
+    }
+}
+
+/// 200 × 5 000 rows over a 40-value key domain (Nulls included): long
+/// duplicate chains on the hashed side, long buckets per outer row, and
+/// a residual that cuts each bucket — against the quadratic row join.
+#[test]
+fn nl_join_equi_duplicate_heavy_parity() {
+    let rng = &mut StdRng::seed_from_u64(0x5EED_2000_0516);
+    let mut keys = |n: usize| -> Vec<Value> {
+        (0..n)
+            .map(|_| match rng.random_range(0i64..44) {
+                k if k >= 40 => Value::Null,
+                k => Value::Int(k - 20),
+            })
+            .collect()
+    };
+    let (outer, inner) = (keyed(0, keys(200)), keyed(10, keys(5_000)));
+    let params = Params::default();
+    for pred in [
+        Predicate::atom(Atom::eq_cols(ColId(0), ColId(10))),
+        Predicate::all(vec![
+            Atom::eq_cols(ColId(0), ColId(10)),
+            Atom::col_cmp(ColId(1), CmpOp::Lt, ColId(11)),
+        ]),
+    ] {
+        let want = row_nl_join(&outer, &inner, &pred, &params);
+        assert!(want.len() > 10_000, "duplicate-heavy by construction");
+        for b in BATCHES {
+            let got = vops::nl_join(&outer, &inner, &pred, &params, b);
+            assert!(tables_identical(&want, &got), "batch {b}: pred {pred}");
+        }
+    }
+}
+
+/// `Table::sort_by`'s typed single-`Int`-key path against its comparator
+/// path (reached by naming the key twice) and against a stable row sort
+/// under `Value::sort_cmp`: negative, duplicate, beyond-2^53 (which tie
+/// through `f64`) and Null keys, with stability read off the tag column.
+#[test]
+fn sort_by_typed_path_parity() {
+    const BIG: i64 = 1 << 53;
+    let i = Value::Int;
+    let directed = vec![
+        i(BIG + 1),
+        i(BIG),
+        i(-5),
+        Value::Null,
+        i(BIG + 1),
+        i(i64::MIN),
+        i(i64::MAX),
+        i(0),
+        i(-5),
+        Value::Null,
+        i(-BIG - 1),
+        i(-BIG),
+        i(BIG + 2),
+    ];
+    let rng = &mut StdRng::seed_from_u64(7);
+    let mut inputs = vec![directed.clone(), Vec::new(), vec![Value::Null; 3]];
+    inputs.push(directed.into_iter().filter(|v| *v != Value::Null).collect());
+    for nullable in [false, true] {
+        inputs.push(
+            (0..300)
+                .map(|_| match rng.random_range(0i64..12) {
+                    0 if nullable => Value::Null,
+                    1 => i(BIG + rng.random_range(0i64..4)),
+                    _ => i(rng.random_range(-20i64..20)),
+                })
+                .collect(),
+        );
+    }
+    for keys in inputs {
+        let t = keyed(0, keys);
+        let key = t.schema[0];
+        let mut want = t.to_rows();
+        want.sort_by(|a, b| a[0].sort_cmp(&b[0]));
+        let (mut typed, mut compared) = (t.clone(), t.clone());
+        typed.sort_by(&[key]);
+        compared.sort_by(&[key, key]);
+        assert_eq!(typed.sorted_on, vec![key]);
+        for (r, w) in want.iter().enumerate() {
+            assert!(rows_strict_eq(&typed.row(r), w), "typed path, row {r}");
+            assert!(rows_strict_eq(&compared.row(r), w), "comparator, row {r}");
+        }
+    }
+}
+
 // ---- engine-level parity ------------------------------------------------
 
 /// Star-schema batch exercising scans, index selects, both join

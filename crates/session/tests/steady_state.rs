@@ -11,7 +11,9 @@
 
 use mqo_core::{Options, VerifyLevel};
 use mqo_exec::{generate_database, normalize_result, results_approx_equal, ExecMode, ExecOptions};
+use mqo_expr::{ParamId, Value};
 use mqo_session::{BatchResult, MqoSession, SessionOptions};
+use mqo_util::{ErrorStage, FxHashMap, MqoErrorKind};
 use mqo_workloads::Tpcd;
 
 const SCALE: f64 = 0.002;
@@ -224,4 +226,32 @@ fn unknown_strategy_is_an_error() {
         SessionOptions::new().with_strategy("Simulated-Annealing"),
     );
     assert!(session.submit(&batch).is_err());
+}
+
+/// An unbound `Param` is a typed `PlanBroken` error at the execute
+/// stage naming the parameter — it used to panic inside the operators —
+/// and, like every failed submit, it leaves the cache exactly as it was
+/// and the session usable.
+#[test]
+fn unbound_parameter_is_a_typed_error_and_leaves_the_store_untouched() {
+    let w = Tpcd::new(SCALE);
+    let db = generate_database(&w.catalog, 42, usize::MAX);
+    let warmup = w.serving_batches(1).remove(0);
+    let q2 = w.q2();
+    let mut session = MqoSession::new(w.catalog, db, verified());
+    session.submit(&warmup).unwrap();
+    let store = |s: &MqoSession| (s.mv_store().len(), s.mv_store().bytes_used());
+    let before = store(&session);
+    assert!(before.0 > 0, "the warm-up admitted temps");
+
+    let err = session.submit(&q2).expect_err("Q2 reads :0");
+    assert_eq!(err.kind, MqoErrorKind::PlanBroken);
+    assert_eq!(err.stage, ErrorStage::Execute);
+    assert!(err.message.contains("parameter :0"), "{}", err.render());
+    assert_eq!(store(&session), before);
+
+    let mut params = FxHashMap::default();
+    params.insert(ParamId(0), Value::Int(1));
+    let bound = session.submit_with_params(&q2, &params).unwrap();
+    assert!(bound.query_errors.iter().all(Option::is_none));
 }
