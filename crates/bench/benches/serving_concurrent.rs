@@ -2,11 +2,13 @@
 //! job through one `ServeFront`, at 1 / 4 / 16 clients.
 //!
 //! Every round coalesces the concurrent submissions into shared MQO
-//! batches (the 2 ms forming window is most of a round's latency at
-//! this scale), so the per-round time growing *sublinearly* in the
-//! client count is the serving front doing its job: strangers share one
-//! optimizer pass and the warm MvStore instead of timeslicing the
-//! engine.
+//! batches: the first round finds nobody expected and forms at once;
+//! from then on each client is expected back, so a round forms when its
+//! last client has resubmitted or 16 queries are queued (the 2 ms
+//! window is only the ceiling).
+//! The per-round time growing *sublinearly* in the client count is the
+//! serving front doing its job: strangers share one optimizer pass and
+//! the warm MvStore instead of timeslicing the engine.
 
 use std::sync::Arc;
 

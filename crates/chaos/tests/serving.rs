@@ -141,3 +141,46 @@ fn faulted_front_still_shuts_down_cleanly() {
     let e = front.submit_sql("steady", SQL).unwrap_err();
     assert_eq!(e.kind, MqoErrorKind::Shutdown);
 }
+
+/// A fault inside the commit actor's own transaction — the admission
+/// seam fires on the actor thread, after the batch executed — drops the
+/// staged store: nothing is republished (the snapshot is the very same
+/// `Arc` as before), the rollback is counted, and a retry commits.
+#[test]
+fn failed_commit_republishes_nothing() {
+    let _g = serial();
+    if !mqo_chaos::enabled() {
+        return;
+    }
+    mqo_chaos::clear();
+    let front = front();
+    front.submit_sql("steady", SQL).expect("cold baseline");
+    let before = front.mv_snapshot();
+    // Another nation: new temps, so the commit has something to admit.
+    let other = SQL.replace("n_name_000007", "n_name_000003");
+
+    mqo_chaos::install(Schedule::single(Seam::Admission, 1));
+    let err = front
+        .submit_sql("victim", &other)
+        .expect_err("armed admission seam must fail the commit");
+    mqo_chaos::clear();
+    assert_eq!(err.kind, MqoErrorKind::FaultInjected);
+    assert_eq!(err.stage, ErrorStage::Admission);
+
+    let (totals, tenants) = front.stats();
+    assert_eq!(totals.rolled_back, 1);
+    assert!(tenants.get("victim").is_some_and(|t| t.failed == 1));
+    assert!(
+        std::sync::Arc::ptr_eq(&before, &front.mv_snapshot()),
+        "a failed commit must leave the published store untouched"
+    );
+
+    front.submit_sql("victim", &other).expect("retry commits");
+    let after = front.mv_snapshot();
+    assert!(
+        after.len() > before.len(),
+        "the retry's temps were admitted"
+    );
+    assert!(mqo_verify::verify_store(&after, VerifyLevel::Full).is_clean());
+    front.shutdown();
+}

@@ -2,6 +2,7 @@
 //! one-request-at-a-time wrapper used by `sql_repl --connect`, the CI
 //! serving smoke, and the concurrency tests.
 
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -15,7 +16,9 @@ use crate::protocol::{
 /// server-side errors come back as typed [`MqoError`]s with their kind
 /// and stage intact.
 pub struct Client {
-    stream: TcpStream,
+    /// Frames are read through the buffer and written straight to the
+    /// socket inside it.
+    conn: BufReader<TcpStream>,
     /// The greeting banner the server sent back on Hello.
     banner: String,
 }
@@ -32,13 +35,13 @@ impl Client {
             .map_err(|e| MqoError::protocol("connect", format!("cannot reach {addr}: {e}")))?;
         stream.set_nodelay(true).ok();
         let mut client = Client {
-            stream,
+            conn: BufReader::new(stream),
             banner: String::new(),
         };
         let mut body = Vec::new();
         put_str(&mut body, tenant);
-        write_frame(&mut client.stream, op::HELLO, &body, "hello")?;
-        match read_frame(&mut client.stream, "hello")? {
+        write_frame(client.conn.get_mut(), op::HELLO, &body, "hello")?;
+        match read_frame(&mut client.conn, "hello")? {
             (op::GREETING, body) => {
                 client.banner = String::from_utf8_lossy(&body).into_owned();
                 Ok(client)
@@ -90,8 +93,8 @@ impl Client {
     pub fn query(&mut self, sql: &str) -> Result<Vec<QueryResult>, MqoError> {
         let mut body = Vec::new();
         put_str(&mut body, sql);
-        write_frame(&mut self.stream, op::QUERY, &body, "query")?;
-        match read_frame(&mut self.stream, "query")? {
+        write_frame(self.conn.get_mut(), op::QUERY, &body, "query")?;
+        match read_frame(&mut self.conn, "query")? {
             (op::RESULTS, body) => decode_results(&body, "query"),
             (op::ERROR, body) => Err(decode_error(&body, "query")?),
             (other, _) => Err(MqoError::protocol(
@@ -108,8 +111,8 @@ impl Client {
     ///
     /// A typed protocol error if the connection broke.
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>, MqoError> {
-        write_frame(&mut self.stream, op::STATS, &[], "stats")?;
-        match read_frame(&mut self.stream, "stats")? {
+        write_frame(self.conn.get_mut(), op::STATS, &[], "stats")?;
+        match read_frame(&mut self.conn, "stats")? {
             (op::STATS_REPLY, body) => decode_stats(&body, "stats"),
             (op::ERROR, body) => Err(decode_error(&body, "stats")?),
             (other, _) => Err(MqoError::protocol(
@@ -141,6 +144,6 @@ impl Client {
 
 impl Drop for Client {
     fn drop(&mut self) {
-        write_frame(&mut self.stream, op::BYE, &[], "bye").ok();
+        write_frame(self.conn.get_mut(), op::BYE, &[], "bye").ok();
     }
 }

@@ -1,21 +1,33 @@
 //! The batch former: a **pure** state machine that coalesces many
-//! tenants' submissions into MQO batches under time/size windows with
-//! round-robin fairness.
+//! tenants' submissions into MQO batches — waiting for company only
+//! while company is plausibly coming — with round-robin fairness.
 //!
 //! Purity is the point: every transition takes the clock as an explicit
 //! `now` argument and touches nothing but its own queues, so the
-//! window and fairness semantics are exercised by deterministic unit
-//! tests with a fake clock — the thread that drives it in production
-//! (`ServeFront`) adds nothing but `Instant::now()` and a condvar.
+//! forming and fairness semantics are exercised by deterministic unit
+//! tests with a fake clock — the planner workers that drive it in
+//! production (`ServeFront`) add nothing but `Instant::now()` and a
+//! condvar.
 //!
-//! Forming rules (checked by [`Former::ready`]):
+//! Forming rules (checked by [`Former::ready`]; any one suffices):
 //!
-//! - **time window** — a batch forms once the oldest queued job has
-//!   waited [`FormerConfig::window`]; nobody waits longer than one
-//!   window for company.
-//! - **size window** — a batch forms as soon as
+//! - **nobody is missing** — a batch forms as soon as no tenant whose
+//!   job was drained less than one [`FormerConfig::window`] ago has an
+//!   empty lane. A tenant that just rode a batch is the only company
+//!   the former can expect (a closed-loop client resubmits when its
+//!   answer arrives), so a lone tenant, a first job, or a front whose
+//!   other connections are idle forms at once, while tenants that keep
+//!   resubmitting fall into lockstep and keep sharing one batch. A
+//!   batch answers all its riders together, so a rider resubmitting
+//!   renews the expectation of the batch's other riders: a batch that
+//!   took longer than the window to execute does not split its riders
+//!   up on their way back.
+//! - **size cap** — a batch forms as soon as
 //!   [`FormerConfig::max_batch_queries`] queries are queued; a hot
 //!   front never waits out the clock just to batch.
+//! - **time ceiling** — a batch forms once the oldest queued job has
+//!   waited [`FormerConfig::window`]; whoever is missing, nobody waits
+//!   longer than one window for company.
 //!
 //! Fairness (applied by [`Former::form`]):
 //!
@@ -37,7 +49,9 @@ use std::time::{Duration, Instant};
 /// Window and fairness knobs for the [`Former`].
 #[derive(Debug, Clone, Copy)]
 pub struct FormerConfig {
-    /// Max time any job waits for batch company before forming.
+    /// The ceiling on how long any job waits for batch company, and
+    /// how long a tenant that just rode a batch is expected back. Never
+    /// a floor: a job nobody is expected to join forms at once.
     pub window: Duration,
     /// Queued-query count that forms a batch immediately. Also the
     /// (soft) size target of a formed batch: draining stops at the
@@ -98,10 +112,28 @@ pub struct Former<P> {
     /// Per-tenant FIFO lanes. `BTreeMap` so every iteration anywhere in
     /// this crate is deterministically ordered.
     lanes: BTreeMap<String, VecDeque<Queued<P>>>,
-    /// Tenants with nonempty lanes, in first-arrival order; the drain
-    /// cursor rotates over this so batch leadership round-robins.
-    rotation: Vec<String>,
+    /// Every tenant seen, in first-arrival order; the drain cursor
+    /// rotates over this so batch leadership round-robins.
+    rotation: Vec<Seat>,
     queued_queries: usize,
+}
+
+/// A tenant's place in the drain rotation.
+#[derive(Debug)]
+struct Seat {
+    tenant: String,
+    /// The last formed batch that took one of this tenant's jobs.
+    last_ride: Option<Ride>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Ride {
+    /// When the batch formed — the same instant for all its riders.
+    formed_at: Instant,
+    /// The latest sign that the batch's answers are on their way: its
+    /// forming, or one of its riders resubmitting. For one window after
+    /// it the tenant is expected to resubmit.
+    expected_from: Instant,
 }
 
 impl<P> Former<P> {
@@ -141,15 +173,30 @@ impl<P> Former<P> {
         if lane.len() >= self.cfg.tenant_pending {
             return Push::AtCapacity;
         }
-        if !self.rotation.iter().any(|t| t == tenant) {
-            self.rotation.push(tenant.to_string());
-        }
         lane.push_back(Queued {
             queries,
             enqueued_at: now,
             payload,
         });
         self.queued_queries += queries;
+        let back_from = match self.rotation.iter().find(|s| s.tenant == tenant) {
+            Some(seat) => seat.last_ride.map(|r| r.formed_at),
+            None => {
+                self.rotation.push(Seat {
+                    tenant: tenant.to_string(),
+                    last_ride: None,
+                });
+                None
+            }
+        };
+        // Back from a batch: its other riders were answered too.
+        let rides = self
+            .rotation
+            .iter_mut()
+            .filter_map(|s| s.last_ride.as_mut());
+        for ride in rides.filter(|r| Some(r.formed_at) == back_from) {
+            ride.expected_from = ride.expected_from.max(now);
+        }
         Push::Queued
     }
 
@@ -161,24 +208,42 @@ impl<P> Former<P> {
             .min()
     }
 
-    /// When the time window will force a batch, if jobs are queued.
-    /// The driver thread sleeps until this (or a new push).
+    /// When the last missing tenant stops being expected: one window
+    /// after the latest `expected_from` over tenants with an empty
+    /// lane. `None` when no tenant that rode a batch is missing.
+    fn awaited_until(&self) -> Option<Instant> {
+        self.rotation
+            .iter()
+            .filter(|s| self.pending(&s.tenant) == 0)
+            .filter_map(|s| s.last_ride)
+            .map(|r| r.expected_from)
+            .max()
+            .map(|t| t + self.cfg.window)
+    }
+
+    /// The earliest instant at which [`Former::ready`] holds without a
+    /// further push, if jobs are queued: the oldest job's ceiling or
+    /// the moment the last missing tenant stops being expected,
+    /// whichever is first. A waiting worker sleeps until this (or a
+    /// push).
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.oldest().map(|t| t + self.cfg.window)
+        let ceiling = self.oldest()? + self.cfg.window;
+        Some(self.awaited_until().map_or(ceiling, |t| t.min(ceiling)))
     }
 
-    /// True when either forming rule is satisfied.
+    /// True when any forming rule is satisfied (see module docs).
     #[must_use]
     pub fn ready(&self, now: Instant) -> bool {
-        if self.is_empty() {
+        let Some(oldest) = self.oldest() else {
             return false;
-        }
+        };
         self.queued_queries >= self.cfg.max_batch_queries
-            || self.oldest().is_some_and(|t| now >= t + self.cfg.window)
+            || now >= oldest + self.cfg.window
+            || !self.awaited_until().is_some_and(|t| now < t)
     }
 
-    /// Forms one batch if a window rule fires, draining jobs
+    /// Forms one batch if a forming rule fires, draining jobs
     /// round-robin across tenants (see module docs for the fairness
     /// rules). Returns `None` when nothing is ready — call again after
     /// [`Former::next_deadline`] or the next push.
@@ -186,54 +251,59 @@ impl<P> Former<P> {
         if !self.ready(now) {
             return None;
         }
-        Some(self.drain_round_robin(true))
+        Some(self.drain_round_robin(Some(now)))
     }
 
     /// Drains **everything** queued into a sequence of batches, ignoring
-    /// the windows — the shutdown path, so no queued job is abandoned
-    /// without either running or being answered.
+    /// the forming rules — the shutdown path, so no queued job is
+    /// abandoned without either running or being answered.
     pub fn drain_all(&mut self) -> Vec<Vec<Formed<P>>> {
         let mut out = Vec::new();
         while !self.is_empty() {
-            out.push(self.drain_round_robin(false));
+            out.push(self.drain_round_robin(None));
         }
         out
     }
 
-    /// One round-robin drain pass; `capped` applies the batch size
-    /// target (shutdown drains uncapped so it terminates in one batch
-    /// per share-ful).
-    fn drain_round_robin(&mut self, capped: bool) -> Vec<Formed<P>> {
-        let mut order: Vec<String> = Vec::with_capacity(self.rotation.len());
-        order.extend(self.rotation.iter().cloned());
+    /// One round-robin drain pass. A batch formed at `formed_at` stops
+    /// at the batch size target and stamps the tenants it took from;
+    /// the shutdown drain (`None`) does neither, so it terminates in
+    /// one batch per share-ful.
+    fn drain_round_robin(&mut self, formed_at: Option<Instant>) -> Vec<Formed<P>> {
+        let cap = formed_at.map_or(usize::MAX, |_| self.cfg.max_batch_queries);
         let mut out = Vec::new();
-        let mut taken: BTreeMap<String, usize> = BTreeMap::new();
+        let mut taken = vec![0usize; self.rotation.len()];
         let mut total = 0usize;
         let mut progressed = true;
-        while progressed && (!capped || total < self.cfg.max_batch_queries) {
+        while progressed && total < cap {
             progressed = false;
-            for tenant in &order {
-                if capped && total >= self.cfg.max_batch_queries {
+            for (seat, used) in self.rotation.iter_mut().zip(&mut taken) {
+                if total >= cap {
                     break;
                 }
-                let Some(lane) = self.lanes.get_mut(tenant) else {
+                let Some(lane) = self.lanes.get_mut(&seat.tenant) else {
                     continue;
                 };
                 let Some(front) = lane.front() else {
                     continue;
                 };
-                let used = taken.get(tenant).copied().unwrap_or(0);
-                if used > 0 && used + front.queries > self.cfg.tenant_share {
+                if *used > 0 && *used + front.queries > self.cfg.tenant_share {
                     continue; // share spent for this batch
                 }
                 let Some(job) = lane.pop_front() else {
                     continue;
                 };
                 total += job.queries;
-                *taken.entry(tenant.clone()).or_insert(0) += job.queries;
+                *used += job.queries;
                 self.queued_queries = self.queued_queries.saturating_sub(job.queries);
+                if let Some(formed_at) = formed_at {
+                    seat.last_ride = Some(Ride {
+                        formed_at,
+                        expected_from: formed_at,
+                    });
+                }
                 out.push(Formed {
-                    tenant: tenant.clone(),
+                    tenant: seat.tenant.clone(),
                     queries: job.queries,
                     payload: job.payload,
                 });
@@ -244,11 +314,8 @@ impl<P> Former<P> {
         // Tenants persist in the rotation even when their lane drains,
         // so leadership keeps rotating across sparse traffic (the list
         // is bounded by the distinct-tenant count).
-        if !order.is_empty() {
-            let mut rotated: Vec<String> = Vec::with_capacity(order.len());
-            rotated.extend(order.iter().skip(1).cloned());
-            rotated.extend(order.iter().take(1).cloned());
-            self.rotation = rotated;
+        if !self.rotation.is_empty() {
+            self.rotation.rotate_left(1);
         }
         out
     }
@@ -267,30 +334,114 @@ mod tests {
         }
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A former whose tenants each rode one batch formed at `at`, so
+    /// each is expected back until `at + window`.
+    fn drained_together(tenants: &[&str], at: Instant) -> Former<()> {
+        let mut f: Former<()> = Former::new(cfg());
+        for t in tenants {
+            f.push(t, 1, (), at);
+        }
+        let batch = f.form(at).expect("nobody is missing");
+        assert_eq!(batch.len(), tenants.len());
+        f
+    }
+
     #[test]
-    fn time_window_forms_after_wait() {
+    fn lone_tenant_forms_at_its_push_instant() {
         let t0 = Instant::now();
         let mut f: Former<()> = Former::new(cfg());
         assert_eq!(f.push("a", 2, (), t0), Push::Queued);
-        assert!(f.form(t0).is_none(), "window not elapsed, size not hit");
-        assert_eq!(f.next_deadline(), Some(t0 + Duration::from_millis(10)));
-        let batch = f.form(t0 + Duration::from_millis(10)).unwrap();
+        assert_eq!(f.next_deadline(), Some(t0 + ms(10)));
+        let batch = f.form(t0).expect("a first job has no company to wait for");
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].tenant, "a");
+        assert!(f.is_empty());
+        assert_eq!(f.next_deadline(), None);
+        // Resubmitting inside the window: `a` itself is not missing.
+        f.push("a", 2, (), t0 + ms(1));
+        assert!(f.form(t0 + ms(1)).is_some());
+    }
+
+    #[test]
+    fn tenants_drained_together_wait_for_each_other() {
+        let t0 = Instant::now();
+        let mut f = drained_together(&["a", "b"], t0);
+        f.push("a", 1, (), t0 + ms(1));
+        assert!(f.form(t0 + ms(1)).is_none(), "b is expected back");
+        assert_eq!(f.next_deadline(), Some(t0 + ms(11)));
+        f.push("b", 1, (), t0 + ms(2));
+        let batch = f.form(t0 + ms(2)).expect("nobody is missing any more");
+        assert_eq!(batch.len(), 2, "a and b ride one batch again");
+    }
+
+    #[test]
+    fn riders_of_a_slow_batch_still_wait_for_each_other() {
+        let t0 = Instant::now();
+        // The batch took 25 ms to answer; a is back first.
+        let mut f = drained_together(&["a", "b"], t0);
+        f.push("a", 1, (), t0 + ms(25));
+        assert!(
+            f.form(t0 + ms(25)).is_none(),
+            "a is back, so b is about to be"
+        );
+        f.push("b", 1, (), t0 + ms(26));
+        assert_eq!(f.form(t0 + ms(26)).map(|b| b.len()), Some(2));
+
+        // If b never follows, a's own ceiling still forms the batch.
+        let mut f = drained_together(&["a", "b"], t0);
+        f.push("a", 1, (), t0 + ms(25));
+        assert_eq!(f.next_deadline(), Some(t0 + ms(35)));
+        assert_eq!(f.form(t0 + ms(35)).map(|b| b.len()), Some(1));
+    }
+
+    #[test]
+    fn tenant_drained_a_window_ago_is_not_waited_for() {
+        let t0 = Instant::now();
+        // b rode a batch of its own at t0 and went away.
+        let mut f = drained_together(&["b"], t0);
+        f.push("a", 1, (), t0 + ms(10));
+        let batch = f.form(t0 + ms(10)).expect("b's expectation expired");
+        assert_eq!(batch.len(), 1);
+
+        // Queued while b is still expected: forms when that expires,
+        // before the job's own ceiling.
+        let mut f = drained_together(&["b"], t0);
+        f.push("a", 1, (), t0 + ms(4));
+        assert!(f.form(t0 + ms(4)).is_none());
+        assert_eq!(f.next_deadline(), Some(t0 + ms(10)));
+        assert!(f.form(t0 + ms(10)).is_some());
+    }
+
+    #[test]
+    fn expected_tenant_that_never_returns_forms_at_the_ceiling() {
+        let t0 = Instant::now();
+        let mut f = drained_together(&["a", "b"], t0);
+        f.push("a", 2, (), t0);
+        assert!(f.form(t0).is_none(), "b is expected back");
+        assert_eq!(f.next_deadline(), Some(t0 + ms(10)));
+        let just_before = t0 + ms(10) - Duration::from_nanos(1);
+        assert!(f.form(just_before).is_none(), "window not elapsed");
+        let batch = f.form(t0 + ms(10)).expect("nobody waits past the ceiling");
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].tenant, "a");
         assert!(f.is_empty());
     }
 
     #[test]
-    fn size_window_forms_immediately() {
+    fn size_cap_forms_while_company_is_expected() {
         let t0 = Instant::now();
-        let mut f: Former<()> = Former::new(cfg());
-        f.push("a", 4, (), t0);
-        assert!(f.form(t0).is_none());
-        f.push("b", 4, (), t0);
-        let batch = f.form(t0).expect("8 queries queued = size window");
+        let mut f = drained_together(&["a", "b", "c"], t0);
+        f.push("a", 4, (), t0 + ms(1));
+        assert!(f.form(t0 + ms(1)).is_none(), "b and c are expected back");
+        f.push("b", 4, (), t0 + ms(1));
+        let batch = f
+            .form(t0 + ms(1))
+            .expect("8 queries queued = size cap, c or no c");
         assert_eq!(batch.len(), 2);
-        let tenants: Vec<&str> = batch.iter().map(|j| j.tenant.as_str()).collect();
-        assert_eq!(tenants, ["a", "b"]);
     }
 
     #[test]
@@ -361,5 +512,51 @@ mod tests {
         assert!(f.is_empty());
         let jobs: usize = batches.iter().map(Vec::len).sum();
         assert_eq!(jobs, 6);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// A caller that forms on every push and otherwise sleeps until
+        /// `next_deadline()` — what a planner worker does — always wakes
+        /// to a ready former, never spins, and never holds a job past
+        /// one window.
+        #[test]
+        fn sleeping_until_next_deadline_never_overholds(
+            schedule in proptest::collection::vec((0u64..15_000, 0usize..4, 0usize..5), 1..40)
+        ) {
+            const TENANTS: [&str; 4] = ["a", "b", "c", "d"];
+            let window = cfg().window;
+            // Payload = enqueue instant, checked when the job drains.
+            fn drain(f: &mut Former<Instant>, now: Instant, window: Duration) {
+                while let Some(batch) = f.form(now) {
+                    for job in batch {
+                        assert!(now.duration_since(job.payload) <= window, "job held too long");
+                    }
+                }
+            }
+            let mut f: Former<Instant> = Former::new(cfg());
+            let mut now = Instant::now();
+            // A final far-off tick lets every queued job reach its deadline.
+            let ticks = schedule.into_iter().chain([(1_000_000, 0, 0)]);
+            for (dt_us, tenant, queries) in ticks {
+                let next_event = now + Duration::from_micros(dt_us);
+                while let Some(deadline) = f.next_deadline().filter(|&d| d <= next_event) {
+                    proptest::prop_assert!(deadline > now, "a sleeping caller would spin");
+                    proptest::prop_assert!(f.ready(deadline), "woke to a former that is not ready");
+                    now = deadline;
+                    drain(&mut f, now, window);
+                }
+                now = next_event;
+                if queries > 0 {
+                    f.push(TENANTS[tenant], queries, now, now);
+                }
+                drain(&mut f, now, window);
+            }
+            proptest::prop_assert!(f.is_empty());
+        }
     }
 }

@@ -1,20 +1,23 @@
-//! The in-process serving front: batch-forming driver, planner worker
-//! pool, and commit actor over one shared [`SessionCore`].
+//! The in-process serving front: the batch former, a planner worker
+//! pool that forms its own batches, and the commit actor, over one
+//! shared [`SessionCore`].
 //!
 //! ```text
-//!  conn threads            driver             workers            commit actor
-//!  ───────────            ────────           ─────────           ────────────
-//!  submit_sql ──lower──▶ [Former]  ──form──▶ plan_execute ──┐
-//!  submit_sql ──lower──▶  (window,           (&self, pure,  ├─▶ commit_staged
+//!  conn threads                          workers              commit actor
+//!  ───────────                          ─────────             ────────────
+//!  submit_sql ──lower──▶ [Former]  ◀──form── plan_execute ──┐
+//!  submit_sql ──lower──▶  (rules,            (&self, pure,  ├─▶ commit_staged
 //!      ⋮                  fairness)           snapshot read) │    (serialized,
-//!  submit_sql ──lower──▶                     plan_execute ──┘     clone-swap)
+//!  submit_sql ──lower──▶           ◀──form── plan_execute ──┘     clone-swap)
 //!      ▲                                          ▲                   │
 //!      └────────────── per-job reply ◀────────────┴── Arc<MvStore> ◀──┘
 //! ```
 //!
 //! Every submission blocks its own caller and nobody else: lowering is
-//! serialized in the [`Registrar`] (microseconds), forming waits out at
-//! most one window, planning/execution runs concurrently on `&self`
+//! serialized in the [`Registrar`] (microseconds), a job waits in the
+//! former only while a tenant that just rode a batch is expected back
+//! (at most one window), an idle worker takes the formed batch straight
+//! off the former, planning/execution runs concurrently on `&self`
 //! [`SessionCore::plan_execute`], and only the commit arithmetic is
 //! serialized in the actor. A failed job — bad SQL, injected fault,
 //! budget violation — answers its own submitter with a typed
@@ -23,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -35,7 +38,7 @@ use mqo_session::{SessionCore, SessionOptions};
 use mqo_sql::{apply_order, to_batch, PlannedQuery};
 use mqo_util::{ErrorStage, FxHashMap, MqoError, MqoErrorKind};
 
-use crate::commit::{lock_shared, run_actor, send_actor, ActorMsg, Shared};
+use crate::commit::{lock_shared, send_actor, ActorMsg, CommitActor, Shared};
 use crate::former::{Formed, Former, FormerConfig, Push};
 use crate::protocol::QueryResult;
 use crate::registrar::Registrar;
@@ -48,7 +51,7 @@ pub struct ServeOptions {
     /// Session options applied to every formed batch (strategy,
     /// budgets, MV cache size, optimizer threads).
     pub session: SessionOptions,
-    /// Batch-forming windows and fairness caps.
+    /// Batch-forming ceilings and fairness caps.
     pub former: FormerConfig,
     /// Planner worker threads — formed batches in flight concurrently.
     pub workers: usize,
@@ -65,7 +68,8 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults: 2 ms / 16-query windows, 2 planner workers.
+    /// Defaults: batches form when nobody is expected to join, at 16
+    /// queued queries, or after 2 ms at the latest; 2 planner workers.
     pub fn new() -> Self {
         Self::default()
     }
@@ -113,22 +117,19 @@ pub struct ServeFront {
     actor_tx: Sender<ActorMsg>,
     stop: Arc<AtomicBool>,
     threads: Mutex<Threads>,
-    /// Dropped at shutdown so workers drain out; `None` afterwards.
-    batch_tx: Mutex<Option<Sender<Vec<Formed<JobWork>>>>>,
 }
 
 /// Thread handles, kept separate so shutdown can join producers before
-/// their consumers: driver → workers → commit actor.
+/// their consumer: workers → commit actor.
 #[derive(Default)]
 struct Threads {
-    driver: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     actor: Option<JoinHandle<()>>,
 }
 
 impl ServeFront {
-    /// Builds the front and spawns its driver, worker, and commit-actor
-    /// threads. Serving starts immediately.
+    /// Builds the front and spawns its worker and commit-actor threads.
+    /// Serving starts immediately.
     #[must_use]
     pub fn new(catalog: Catalog, db: Database, options: ServeOptions) -> Self {
         let ServeOptions {
@@ -137,9 +138,9 @@ impl ServeFront {
             workers,
         } = options;
         let core = Arc::new(SessionCore::new(db, session.clone()));
-        let store = MvStore::new(session.mv_budget_bytes);
+        let store = Arc::new(MvStore::new(session.mv_budget_bytes));
         let shared = Arc::new(Mutex::new(Shared {
-            store: Arc::new(store.clone()),
+            store: Arc::clone(&store),
             tenants: BTreeMap::new(),
             totals: FrontTotals::default(),
         }));
@@ -150,37 +151,27 @@ impl ServeFront {
 
         // Commit actor: the one thread that mutates shared state.
         let (actor_tx, actor_rx) = mpsc::channel::<ActorMsg>();
-        let verify = session.opt.verify;
+        let actor = CommitActor::new(store, session.opt.verify);
         {
             let shared = Arc::clone(&shared);
-            threads.actor = Some(std::thread::spawn(move || {
-                run_actor(&actor_rx, store, &shared, verify);
-            }));
+            threads.actor = Some(std::thread::spawn(move || actor.run(&actor_rx, &shared)));
         }
 
-        // Planner workers: pure plan/execute over snapshots.
-        let (batch_tx, batch_rx) = mpsc::channel::<Vec<Formed<JobWork>>>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
+        // Planner workers: form batches, then pure plan/execute over
+        // snapshots.
         let seq = Arc::new(AtomicU64::new(0));
         for _ in 0..workers.max(1) {
             let core = Arc::clone(&core);
             let registrar = Arc::clone(&registrar);
             let shared = Arc::clone(&shared);
             let actor_tx = actor_tx.clone();
-            let batch_rx = Arc::clone(&batch_rx);
-            let seq = Arc::clone(&seq);
-            threads.workers.push(std::thread::spawn(move || {
-                worker_loop(&core, &registrar, &shared, &actor_tx, &batch_rx, &seq);
-            }));
-        }
-
-        // Driver: turns window deadlines + pushes into formed batches.
-        {
             let former = Arc::clone(&former);
             let stop = Arc::clone(&stop);
-            let batch_tx = batch_tx.clone();
-            threads.driver = Some(std::thread::spawn(move || {
-                driver_loop(&former, &stop, &batch_tx);
+            let seq = Arc::clone(&seq);
+            threads.workers.push(std::thread::spawn(move || {
+                while let Some(jobs) = next_batch(&former, &stop) {
+                    process_batch(&core, &registrar, &shared, &actor_tx, &seq, jobs);
+                }
             }));
         }
 
@@ -192,7 +183,6 @@ impl ServeFront {
             actor_tx,
             stop,
             threads: Mutex::new(threads),
-            batch_tx: Mutex::new(Some(batch_tx)),
         }
     }
 
@@ -253,19 +243,20 @@ impl ServeFront {
                 planned,
                 reply: reply_tx,
             };
-            match former.push(tenant, queries, work, Instant::now()) {
-                Push::Queued => self.former.1.notify_all(),
-                Push::AtCapacity => {
-                    return Err(MqoError::new(
-                        MqoErrorKind::Overloaded,
-                        ErrorStage::Serve,
-                        tenant,
-                        "",
-                        "tenant is at its in-flight cap — retry after a batch drains",
-                    ))
-                }
+            if former.push(tenant, queries, work, Instant::now()) == Push::AtCapacity {
+                return Err(MqoError::new(
+                    MqoErrorKind::Overloaded,
+                    ErrorStage::Serve,
+                    tenant,
+                    "",
+                    "tenant is at its in-flight cap — retry after a batch drains",
+                ));
             }
         }
+        // One worker re-reads the former (forms, or sleeps until the
+        // new deadline); the lock is already released, so it does not
+        // wake up only to block on it.
+        self.former.1.notify_one();
         reply_rx.recv().map_err(|_| {
             MqoError::shutdown(
                 "submit",
@@ -274,54 +265,36 @@ impl ServeFront {
         })?
     }
 
-    /// Stops serving: queued jobs are answered with `Shutdown` errors,
-    /// in-flight batches finish and commit, then every thread joins —
-    /// driver first, then workers, then the commit actor, so nothing
-    /// loses its consumer while still producing. Idempotent; also runs
-    /// on drop.
+    /// Stops serving: in-flight batches finish and commit, queued jobs
+    /// are answered with `Shutdown` errors, then every thread joins —
+    /// workers first, then the commit actor, so nothing loses its
+    /// consumer while still producing. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        // Store + notify under the former lock: the driver holds that
+        // Store + notify under the former lock: a worker holds that
         // lock continuously from its stop-check until the condvar wait
         // releases it, so a locked notify can never land in the gap
         // between the two and get lost (an unlocked one can — the
-        // driver would then sleep forever and `join` below would hang).
+        // worker would then sleep forever and `join` below would hang).
         {
             let _former = lock_former(&self.former);
             self.stop.store(true, Ordering::SeqCst);
             self.former.1.notify_all();
         }
         let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(driver) = threads.driver.take() {
-            driver.join().ok();
-        }
-        // Final drain under the former lock: any push that raced the
-        // stop flag past the driver's own drain is answered here (see
-        // the locked re-check in `submit_sql`).
-        {
-            let mut former = lock_former(&self.former);
-            for batch in former.drain_all() {
-                for job in batch {
-                    job.payload
-                        .reply
-                        .send(Err(MqoError::shutdown(
-                            "former",
-                            "serving front shut down before the job was batched",
-                        )))
-                        .ok();
-                }
-            }
-        }
-        // Closing the batch channel lets workers finish what's already
-        // formed and exit; the actor stays up until they are done so
-        // every in-flight batch still commits.
-        drop(
-            self.batch_tx
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-        );
         for w in threads.workers.drain(..) {
             w.join().ok();
+        }
+        // No worker is left to form a batch, and `submit_sql` re-checks
+        // the stop flag under this lock: whatever is queued now is all
+        // that ever will be, and it is answered here.
+        for job in lock_former(&self.former).drain_all().into_iter().flatten() {
+            job.payload
+                .reply
+                .send(Err(MqoError::shutdown(
+                    "former",
+                    "serving front shut down before the job was batched",
+                )))
+                .ok();
         }
         if let Some(actor) = threads.actor.take() {
             send_actor(&self.actor_tx, ActorMsg::Stop);
@@ -347,32 +320,27 @@ impl std::fmt::Debug for ServeFront {
     }
 }
 
-/// The driver thread: sleeps until a window deadline or a push, forms
-/// batches, and hands them to the worker pool. On shutdown it answers
-/// every still-queued job with a typed `Shutdown` error.
-fn driver_loop(former: &FormerCell, stop: &AtomicBool, batch_tx: &Sender<Vec<Formed<JobWork>>>) {
-    let (lock, cvar) = &**former;
-    let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+/// Blocks a planner worker until the former yields a batch: forms if a
+/// rule fires, otherwise sleeps until the former's next deadline or
+/// until a push wakes it (each push wakes one worker). `None` once the
+/// front is stopping — whatever is still queued is left for `shutdown`
+/// to answer.
+fn next_batch(former: &FormerCell, stop: &AtomicBool) -> Option<Vec<Formed<JobWork>>> {
+    let cvar = &former.1;
+    let mut guard = lock_former(former);
     loop {
         if stop.load(Ordering::SeqCst) {
-            for batch in guard.drain_all() {
-                for job in batch {
-                    job.payload
-                        .reply
-                        .send(Err(MqoError::shutdown(
-                            "former",
-                            "serving front shut down before the job was batched",
-                        )))
-                        .ok();
-                }
+            return None;
+        }
+        if let Some(batch) = guard.form(Instant::now()) {
+            // Pushes wake one worker each; what this batch left behind
+            // needs one too.
+            if !guard.is_empty() {
+                cvar.notify_one();
             }
-            return;
+            return Some(batch);
         }
-        while let Some(batch) = guard.form(Instant::now()) {
-            batch_tx.send(batch).ok();
-        }
-        let deadline = guard.next_deadline();
-        guard = match deadline {
+        guard = match guard.next_deadline() {
             Some(d) => {
                 let wait = d.saturating_duration_since(Instant::now());
                 cvar.wait_timeout(guard, wait)
@@ -381,31 +349,6 @@ fn driver_loop(former: &FormerCell, stop: &AtomicBool, batch_tx: &Sender<Vec<For
             }
             None => cvar.wait(guard).unwrap_or_else(PoisonError::into_inner),
         };
-    }
-}
-
-/// One planner worker: picks up formed batches, plans and executes them
-/// purely against the latest snapshots, sends the staged effects to the
-/// commit actor, and answers each job's submitter.
-fn worker_loop(
-    core: &SessionCore,
-    registrar: &Registrar,
-    shared: &Mutex<Shared>,
-    actor_tx: &Sender<ActorMsg>,
-    batch_rx: &Mutex<Receiver<Vec<Formed<JobWork>>>>,
-    seq: &AtomicU64,
-) {
-    loop {
-        // Holding the lock while blocked in recv serializes pickup only;
-        // batch processing below runs unlocked and concurrently.
-        let next = {
-            let rx = batch_rx.lock().unwrap_or_else(PoisonError::into_inner);
-            rx.recv()
-        };
-        let Ok(jobs) = next else {
-            return; // channel closed: shutdown
-        };
-        process_batch(core, registrar, shared, actor_tx, seq, jobs);
     }
 }
 
@@ -426,6 +369,9 @@ fn fail_batch(
     }
 }
 
+/// Plans and executes one formed batch purely against the latest
+/// snapshots, sends the staged effects to the commit actor, and answers
+/// each job's submitter.
 fn process_batch(
     core: &SessionCore,
     registrar: &Registrar,

@@ -12,12 +12,13 @@
 //! - **mutation is an actor** — every staged cache effect (warm hits,
 //!   admissions, evictions, per-tenant counters) is applied by ONE
 //!   commit thread with the same clone-swap transaction a solo session
-//!   uses, then republished as a refcounted snapshot;
+//!   uses, then published as a refcounted snapshot;
 //! - **batches are formed, not submitted** — the [`Former`] coalesces
-//!   many tenants' jobs under time/size windows with round-robin
-//!   fairness, so concurrent tenants *share* optimizer structure (one
-//!   tenant's materialized temp answers another's query) instead of
-//!   merely timeslicing the engine;
+//!   many tenants' jobs with round-robin fairness, waiting for company
+//!   only while a tenant that just rode a batch is still on its way
+//!   back (size and time windows are ceilings), so concurrent tenants
+//!   *share* optimizer structure (one tenant's materialized temp
+//!   answers another's query) instead of merely timeslicing the engine;
 //! - **SQL lowering is registrared** — one serialized
 //!   [`Registrar`] owns the catalog and the SQL planner's aggregate
 //!   memo, closing the `catalog_mut` race and keeping derived `ColId`s

@@ -92,7 +92,9 @@ pub fn write_frame(
         .map_err(|e| proto(site, format!("connection write failed: {e}")))
 }
 
-/// Reads one frame, returning `(opcode, body)`.
+/// Reads one frame, returning `(opcode, body)`. Issues three small
+/// reads per frame, so hand it a buffered reader (one `BufReader` per
+/// connection), not a bare socket.
 ///
 /// # Errors
 ///
@@ -111,12 +113,12 @@ pub fn read_frame(r: &mut impl Read, site: &str) -> Result<(u8, Vec<u8>), MqoErr
             format!("incoming frame of {len} bytes exceeds cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
+    let mut opcode = [0u8; 1];
+    let mut body = vec![0u8; len - 1];
+    r.read_exact(&mut opcode)
+        .and_then(|()| r.read_exact(&mut body))
         .map_err(|e| proto(site, format!("truncated frame: {e}")))?;
-    let opcode = payload.first().copied().unwrap_or(0);
-    payload.remove(0);
-    Ok((opcode, payload))
+    Ok((u8::from_le_bytes(opcode), body))
 }
 
 // ------------------------------------------------------------------
@@ -419,6 +421,61 @@ mod tests {
         buf.push(op::QUERY);
         let e = read_frame(&mut buf.as_slice(), "t").unwrap_err();
         assert_eq!(e.kind, MqoErrorKind::Protocol);
+    }
+
+    #[test]
+    fn empty_and_truncated_frames_are_typed_errors() {
+        let e = read_frame(&mut 0u32.to_le_bytes().as_slice(), "t").unwrap_err();
+        assert!(e.message.contains("zero-length"), "{e}");
+        let mut buf = Vec::new();
+        write_frame(&mut buf, op::QUERY, b"select 1;", "t").unwrap();
+        for cut in [2, 4, 7] {
+            let e = read_frame(&mut &buf[..cut], "t").unwrap_err();
+            assert_eq!(e.kind, MqoErrorKind::Protocol, "cut at {cut}");
+        }
+        assert!(read_frame(&mut &buf[..7], "t")
+            .unwrap_err()
+            .message
+            .contains("truncated"));
+    }
+
+    /// A reader that hands out one byte per `read` call, as a slow
+    /// peer's socket may.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(out.len()).min(1);
+            let (head, rest) = self.0.split_at(n);
+            out[..n].copy_from_slice(head);
+            self.0 = rest;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_arriving_one_byte_per_read() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, op::QUERY, b"select 1;", "t").unwrap();
+        let mut r = std::io::BufReader::new(Trickle(&buf));
+        let (opcode, body) = read_frame(&mut r, "t").unwrap();
+        assert_eq!((opcode, body.as_slice()), (op::QUERY, &b"select 1;"[..]));
+        assert!(read_frame(&mut r, "t").is_err(), "then EOF");
+    }
+
+    #[test]
+    fn two_frames_in_one_buffer_stay_apart() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, op::QUERY, b"select 1;", "t").unwrap();
+        write_frame(&mut buf, op::STATS, &[], "t").unwrap();
+        write_frame(&mut buf, op::BYE, &[], "t").unwrap();
+        // One buffered read swallows all three frames; each comes back
+        // whole, with nothing of its neighbor.
+        let mut r = std::io::BufReader::new(buf.as_slice());
+        let (opcode, body) = read_frame(&mut r, "t").unwrap();
+        assert_eq!((opcode, body.as_slice()), (op::QUERY, &b"select 1;"[..]));
+        assert_eq!(read_frame(&mut r, "t").unwrap(), (op::STATS, Vec::new()));
+        assert_eq!(read_frame(&mut r, "t").unwrap(), (op::BYE, Vec::new()));
     }
 
     #[test]

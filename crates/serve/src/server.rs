@@ -10,7 +10,7 @@
 //! construction.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -153,37 +153,35 @@ fn stats_pairs(
 /// connection; the front and every other tenant are untouched.
 fn serve_connection(front: &ServeFront, stream: TcpStream) {
     stream.set_nodelay(true).ok();
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let mut writer = stream;
+    // Frames are read through the buffer (one `read` per frame, not
+    // two) and written straight to the socket inside it.
+    let mut conn = BufReader::new(stream);
     let site = "conn";
 
     // The contract starts with Hello.
-    let tenant = match read_frame(&mut reader, site) {
+    let tenant = match read_frame(&mut conn, site) {
         Ok((op::HELLO, body)) => match Wire::new(&body, site).str() {
             Ok(t) if !t.is_empty() => t,
             _ => {
                 let e = MqoError::protocol(site, "Hello must carry a nonempty tenant name");
-                write_frame(&mut writer, op::ERROR, &encode_error(&e), site).ok();
+                write_frame(conn.get_mut(), op::ERROR, &encode_error(&e), site).ok();
                 return;
             }
         },
         Ok(_) => {
             let e = MqoError::protocol(site, "first frame must be Hello");
-            write_frame(&mut writer, op::ERROR, &encode_error(&e), site).ok();
+            write_frame(conn.get_mut(), op::ERROR, &encode_error(&e), site).ok();
             return;
         }
         Err(_) => return,
     };
     let banner = format!("mqo-serve ready, tenant `{tenant}`");
-    if write_frame(&mut writer, op::GREETING, banner.as_bytes(), site).is_err() {
+    if write_frame(conn.get_mut(), op::GREETING, banner.as_bytes(), site).is_err() {
         return;
     }
 
     loop {
-        let (opcode, body) = match read_frame(&mut reader, site) {
+        let (opcode, body) = match read_frame(&mut conn, site) {
             Ok(f) => f,
             Err(_) => return, // peer gone or garbage: this conn only
         };
@@ -192,13 +190,13 @@ fn serve_connection(front: &ServeFront, stream: TcpStream) {
                 let sql = match Wire::new(&body, site).str() {
                     Ok(s) => s,
                     Err(e) => {
-                        write_frame(&mut writer, op::ERROR, &encode_error(&e), site).ok();
+                        write_frame(conn.get_mut(), op::ERROR, &encode_error(&e), site).ok();
                         return;
                     }
                 };
                 match front.submit_sql(&tenant, &sql) {
                     Ok(results) => {
-                        if write_frame(&mut writer, op::RESULTS, &encode_results(&results), site)
+                        if write_frame(conn.get_mut(), op::RESULTS, &encode_results(&results), site)
                             .is_err()
                         {
                             return;
@@ -208,7 +206,7 @@ fn serve_connection(front: &ServeFront, stream: TcpStream) {
                         // Typed error to the client; the connection
                         // lives on unless the front is going away.
                         let fatal = e.kind == MqoErrorKind::Shutdown;
-                        if write_frame(&mut writer, op::ERROR, &encode_error(&e), site).is_err()
+                        if write_frame(conn.get_mut(), op::ERROR, &encode_error(&e), site).is_err()
                             || fatal
                         {
                             return;
@@ -219,17 +217,19 @@ fn serve_connection(front: &ServeFront, stream: TcpStream) {
             op::STATS => {
                 let (totals, tenants) = front.stats();
                 let pairs = stats_pairs(&totals, &tenant, &tenants);
-                if write_frame(&mut writer, op::STATS_REPLY, &encode_stats(&pairs), site).is_err() {
+                if write_frame(conn.get_mut(), op::STATS_REPLY, &encode_stats(&pairs), site)
+                    .is_err()
+                {
                     return;
                 }
             }
             op::BYE => {
-                writer.flush().ok();
+                conn.get_mut().flush().ok();
                 return;
             }
             other => {
                 let e = MqoError::protocol(site, format!("unknown opcode 0x{other:02x}"));
-                write_frame(&mut writer, op::ERROR, &encode_error(&e), site).ok();
+                write_frame(conn.get_mut(), op::ERROR, &encode_error(&e), site).ok();
                 return;
             }
         }

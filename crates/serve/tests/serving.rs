@@ -290,3 +290,69 @@ fn shutdown_is_typed_and_idempotent() {
     assert_eq!(e.kind, mqo_util::MqoErrorKind::Shutdown);
     front.shutdown(); // second call is a no-op
 }
+
+/// Shutdown under load, with a watchdog: four tenants submit in a loop,
+/// `shutdown()` lands once every one of them has traffic in flight,
+/// every call returns `Ok` or a typed `Shutdown`, and every thread is
+/// back within 5 s. The planner workers sleep on the former's condvar
+/// themselves; a wakeup lost between their stop-check and their wait
+/// would hang `shutdown()`'s join — which must fail this test, not hang
+/// the suite.
+#[test]
+fn shutdown_under_load_answers_everyone_and_joins() {
+    use std::sync::mpsc;
+
+    const TENANTS: [&str; 4] = ["alice", "bob", "carol", "dave"];
+    let front = Arc::new(front(FormerConfig::default()));
+    front.submit_sql("warmup", &warmup_sql()).expect("warmup");
+
+    let (progress_tx, progress_rx) = mpsc::channel::<&'static str>();
+    let (done_tx, done_rx) = mpsc::channel::<Result<&'static str, mqo_util::MqoError>>();
+    for tenant in TENANTS {
+        let front = Arc::clone(&front);
+        let progress_tx = progress_tx.clone();
+        let done_tx = done_tx.clone();
+        std::thread::spawn(move || {
+            let jobs = [Q11_PAIR, ORDERS_AGG, Q15_PAIR];
+            let mut next = 0;
+            let outcome = loop {
+                next = (next + 1) % jobs.len();
+                match front.submit_sql(tenant, jobs[next]) {
+                    Ok(_) => progress_tx.send(tenant).ok(),
+                    Err(e) if e.kind == mqo_util::MqoErrorKind::Shutdown => break Ok(tenant),
+                    Err(e) => break Err(e),
+                };
+            };
+            done_tx.send(outcome).ok();
+        });
+    }
+
+    // Let every tenant get answers before the shutdown lands, so it
+    // arrives with jobs queued and batches in flight.
+    let watchdog = Duration::from_secs(5);
+    let mut answered = BTreeMap::new();
+    while answered.len() < TENANTS.len() || answered.values().any(|&n| n < 3) {
+        let tenant = progress_rx
+            .recv_timeout(watchdog)
+            .expect("tenants make progress");
+        *answered.entry(tenant).or_insert(0u32) += 1;
+    }
+    {
+        let front = Arc::clone(&front);
+        let done_tx = done_tx.clone();
+        std::thread::spawn(move || {
+            front.shutdown();
+            done_tx.send(Ok("shutdown")).ok();
+        });
+    }
+
+    let mut back = Vec::new();
+    for _ in 0..=TENANTS.len() {
+        let outcome = done_rx
+            .recv_timeout(watchdog)
+            .unwrap_or_else(|e| panic!("hung after {back:?} returned: {e}"));
+        back.push(outcome.unwrap_or_else(|e| panic!("neither Ok nor a typed Shutdown: {e}")));
+    }
+    let e = front.submit_sql("alice", ORDERS_AGG).unwrap_err();
+    assert_eq!(e.kind, mqo_util::MqoErrorKind::Shutdown);
+}
