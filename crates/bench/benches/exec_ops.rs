@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the execution engine: shared vs
 //! unshared execution (the Figure 7 mechanism), the vectorized vs
 //! row-at-a-time operator paths (`vec_exec`), the `MQO_BATCH_ROWS`
-//! knob, the borrow-based `eval_pred` hot path, and the two typed
-//! kernels (`nl_join`'s one-pass equi probe, `sort_by`'s `Int` key path)
-//! at the sizes the `batch-cold` workload runs them.
+//! knob, the borrow-based `eval_pred` hot path, the two typed kernels
+//! (`nl_join`'s one-pass equi probe, `sort_by`'s `Int` key path) and a
+//! filter pipelined into its projection (`filter_project`) at the sizes
+//! the `batch-cold` workload runs them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_core::{optimize, Algorithm, OptContext, Options};
@@ -12,6 +13,7 @@ use mqo_exec::{
     execute_plan, execute_plan_with, generate_database, vops, ExecMode, ExecOptions, Table,
 };
 use mqo_expr::{Atom, CmpOp, Predicate, Value};
+use mqo_logical::{Batch, LogicalPlan, Query};
 use mqo_util::FxHashMap;
 use mqo_workloads::Tpcd;
 use std::hint::black_box;
@@ -173,11 +175,50 @@ fn bench_typed_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// `π σ lineitem` through the engine, the shape that dominates
+/// `batch-cold`: 60 000 rows of nine columns (one of them the string
+/// pad), filtered on `l_shipdate` at selectivity ≈ 0.1, 0.5 and 1.0 and
+/// projected to three columns.
+fn bench_filter_project(c: &mut Criterion) {
+    let w = Tpcd::new(0.01);
+    let opts = Options::new();
+    let db = generate_database(&w.catalog, 42, usize::MAX);
+    let params = FxHashMap::default();
+    let lineitem = w.catalog.table_by_name("lineitem").expect("TPC-D").id;
+    let col = |name| w.catalog.col("lineitem", name);
+    let cols = ["l_suppkey", "l_extendedprice", "l_discount"].map(col);
+    let mut group = c.benchmark_group("filter_project");
+    group.sample_size(10);
+    // l_shipdate is uniform over 0..=2526
+    for (name, cut) in [("sel0.1", 253i64), ("sel0.5", 1263), ("sel1.0", 2527)] {
+        let q = LogicalPlan::scan(lineitem)
+            .select(Predicate::atom(Atom::cmp(
+                col("l_shipdate"),
+                CmpOp::Lt,
+                cut,
+            )))
+            .project(cols.to_vec());
+        let batch = Batch::of(vec![Query::new(name, q)]);
+        let plan = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts).plan;
+        let ctx = OptContext::build(&batch, &w.catalog, &opts);
+        group.bench_function(format!("60000x9 to 3 cols/{name}"), |b| {
+            b.iter(|| {
+                let exec = ExecOptions::default();
+                black_box(
+                    execute_plan_with(&w.catalog, &ctx.pdag, &plan, &db, &params, exec).rows_out,
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shared_vs_unshared,
     bench_vec_exec,
     bench_eval_pred_row,
-    bench_typed_kernels
+    bench_typed_kernels,
+    bench_filter_project
 );
 criterion_main!(benches);

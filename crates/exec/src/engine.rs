@@ -9,6 +9,16 @@
 //! migration shim and as the differential oracle for the batched
 //! operators). `MQO_EXEC_MODE=row|vec` and `MQO_BATCH_ROWS=n` select
 //! them from the environment; [`execute_plan_with`] does so explicitly.
+//!
+//! On the vectorized path a selection (`Filter`, `IndexedSelect`,
+//! `TempIndexedSelect`) read directly by a `Project` is pipelined into
+//! it: the selection hands over its surviving row indices and the
+//! projection gathers only the columns it keeps. A selection that is a
+//! temp, a query root or any other operator's input is gathered over
+//! its whole schema. Either way every plan node passes the governor
+//! checkpoint and the `exec-operator` failpoint once, in plan order;
+//! the memory budget is charged only for materialized outputs, so a
+//! pipelined selection costs nothing until its projection gathers.
 
 use crate::ops::{self, Params};
 use crate::table::{Database, Table};
@@ -16,7 +26,7 @@ use crate::vops;
 use mqo_catalog::Catalog;
 use mqo_chaos::Seam;
 use mqo_expr::{Atom, ParamId, Value};
-use mqo_physical::{Algo, ChosenOp, ExtractedPlan, PhysNodeId, PhysProp, PhysicalDag};
+use mqo_physical::{Algo, ChosenOp, ExtractedPlan, PhysNodeId, PhysOp, PhysProp, PhysicalDag};
 use mqo_util::{ErrorStage, FxHashMap, MqoError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,11 +57,11 @@ pub struct ExecOptions {
     /// expiry the *query* aborts with a `TimeBudgetExpired` error while
     /// the rest of the batch keeps executing. `None` = unbounded.
     pub deadline: Option<Instant>,
-    /// Byte budget for intermediate results. Each operator's output is
-    /// charged ([`Table::approx_bytes`]); exceeding the budget aborts
-    /// the query with `MemBudgetExceeded`. Charging is skipped entirely
-    /// when unset — `approx_bytes` walks string columns. `None` =
-    /// unbounded.
+    /// Byte budget for intermediate results. Each materialized operator
+    /// output is charged ([`Table::approx_bytes`]); exceeding the budget
+    /// aborts the query with `MemBudgetExceeded`. Charging is skipped
+    /// entirely when unset — `approx_bytes` walks string columns.
+    /// `None` = unbounded.
     pub mem_budget_bytes: Option<usize>,
 }
 
@@ -425,7 +435,7 @@ pub struct Executor<'a> {
     budget_stop: Option<MqoError>,
 }
 
-impl Executor<'_> {
+impl<'a> Executor<'a> {
     /// Governor checkpoint, run at every operator-evaluation boundary:
     /// deadline first, then the byte budget over charged output.
     fn checkpoint(&self, n: PhysNodeId) -> Result<(), MqoError> {
@@ -440,9 +450,10 @@ impl Executor<'_> {
         Ok(())
     }
 
-    /// Charges an operator's output against the memory budget.
-    /// `approx_bytes` walks string payloads, so charging is skipped
-    /// entirely when no budget is armed.
+    /// Charges a materialized operator output against the memory budget
+    /// (a selection its `Project` gathers is never charged; the
+    /// projection is). `approx_bytes` walks string payloads, so charging
+    /// is skipped entirely when no budget is armed.
     fn charge(&mut self, t: &Table) {
         if self.exec.mem_budget_bytes.is_some() {
             self.mem_used += t.approx_bytes();
@@ -468,6 +479,35 @@ impl Executor<'_> {
             }
         }
         self.eval_def(n)
+    }
+
+    /// Evaluates a use of `n` for a `Project`, which gathers only the
+    /// columns it keeps: when `n` is a vectorized selection computed
+    /// here — neither read from a temp nor itself materialized — its
+    /// input and surviving rows come back ungathered. The node still
+    /// passes its checkpoint and failpoint; it is not charged, because
+    /// its output is never materialized. Any other use is
+    /// [`Executor::eval_use`] with no selection.
+    fn eval_use_selected(&mut self, n: PhysNodeId) -> Result<(Table, Option<Vec<u32>>), MqoError> {
+        let pdag = self.pdag;
+        let selection = |o| {
+            matches!(
+                pdag.op(o).algo,
+                Algo::Filter { .. } | Algo::IndexedSelect { .. } | Algo::TempIndexedSelect { .. }
+            )
+        };
+        match self.plan.choices.get(&n) {
+            Some(&ChosenOp::Compute(o))
+                if self.exec.mode == ExecMode::Vectorized
+                    && self.plan.reuse_of(n).is_none()
+                    && selection(o) =>
+            {
+                self.checkpoint(n)?;
+                mqo_chaos::hit(Seam::ExecOperator)?;
+                self.eval_select(n, pdag.op(o))
+            }
+            _ => Ok((self.eval_use(n)?, None)),
+        }
     }
 
     /// Evaluates the computing definition of `n`: governor checkpoint,
@@ -502,12 +542,14 @@ impl Executor<'_> {
                 ))
             }
         };
-        let op = self.pdag.op(op_id);
-        let inputs = op.inputs.clone();
+        // borrowed for 'a, not from `self`: the arms evaluate inputs
+        let pdag = self.pdag;
+        let op = pdag.op(op_id);
+        let inputs = &op.inputs;
         let (mode, batch) = (self.exec.mode, self.exec.batch_rows);
-        match op.algo.clone() {
+        match &op.algo {
             Algo::TableScan { table } => {
-                let data = self.db.table(table);
+                let data = self.db.table(*table);
                 Ok(match mode {
                     ExecMode::Row => {
                         let sorted = data.sorted_on.clone();
@@ -521,62 +563,10 @@ impl Executor<'_> {
                     ExecMode::Vectorized => data.as_ref().clone(),
                 })
             }
-            Algo::IndexedSelect { table, pred } => {
-                let data = self.db.table(table);
-                let sorted = data.sorted_on.clone();
-                let col = sorted.first().copied().ok_or_else(|| {
-                    MqoError::plan_broken(
-                        n.to_string(),
-                        format!("indexed select over unclustered table {table}"),
-                    )
-                })?;
-                let mut t = match mode {
-                    ExecMode::Row => {
-                        let schema = data.schema.clone();
-                        let rows = ops::index_scan(data, pred, col, self.params.clone()).collect();
-                        Table::new(schema, rows)
-                    }
-                    ExecMode::Vectorized => {
-                        vops::index_scan(&data, &pred, col, &self.params, batch)
-                    }
-                };
-                t.sorted_on = sorted;
-                Ok(t)
-            }
-            Algo::TempIndexedSelect { source, col, pred } => {
-                let temp = self.temp_sorted_on(source, col)?;
-                let sorted = temp.sorted_on.clone();
-                let mut t = match mode {
-                    ExecMode::Row => {
-                        let schema = temp.schema.clone();
-                        let rows = ops::index_scan(temp, pred, col, self.params.clone()).collect();
-                        Table::new(schema, rows)
-                    }
-                    ExecMode::Vectorized => {
-                        vops::index_scan(&temp, &pred, col, &self.params, batch)
-                    }
-                };
-                t.sorted_on = sorted;
-                Ok(t)
-            }
-            Algo::Filter { pred } => {
-                let input = self.eval_use(inputs[0])?;
-                let sorted = input.sorted_on.clone();
-                let mut t = match mode {
-                    ExecMode::Row => {
-                        let schema = input.schema.clone();
-                        let rows = ops::filter(
-                            Box::new(input.rows()),
-                            schema.clone(),
-                            pred,
-                            self.params.clone(),
-                        )
-                        .collect();
-                        Table::new(schema, rows)
-                    }
-                    ExecMode::Vectorized => vops::filter(&input, &pred, &self.params, batch),
-                };
-                t.sorted_on = sorted;
+            Algo::IndexedSelect { .. } | Algo::TempIndexedSelect { .. } | Algo::Filter { .. } => {
+                let (input, sel) = self.eval_select(n, op)?;
+                let mut t = vops::gather_table(&input, sel.as_deref());
+                t.sorted_on = input.sorted_on;
                 Ok(t)
             }
             Algo::NestLoopsJoin { pred } => {
@@ -591,14 +581,14 @@ impl Executor<'_> {
                             Box::new(outer.rows()),
                             inner.to_rows(),
                             schema.clone(),
-                            pred,
+                            pred.clone(),
                             self.params.clone(),
                         )
                         .collect();
                         Table::new(schema, rows)
                     }
                     ExecMode::Vectorized => {
-                        vops::nl_join(&outer, &inner, &pred, &self.params, batch)
+                        vops::nl_join(&outer, &inner, pred, &self.params, batch)
                     }
                 })
             }
@@ -610,11 +600,11 @@ impl Executor<'_> {
                 let mut left = self.eval_use(inputs[0])?;
                 let mut right = self.eval_use(inputs[1])?;
                 mqo_chaos::hit(Seam::ColumnAlloc)?;
-                if !left.sorted_on.starts_with(&left_keys) {
-                    left.sort_by(&left_keys);
+                if !left.sorted_on.starts_with(left_keys) {
+                    left.sort_by(left_keys);
                 }
-                if !right.sorted_on.starts_with(&right_keys) {
-                    right.sort_by(&right_keys);
+                if !right.sorted_on.starts_with(right_keys) {
+                    right.sort_by(right_keys);
                 }
                 let mut t = match mode {
                     ExecMode::Row => {
@@ -625,9 +615,9 @@ impl Executor<'_> {
                             &left.schema,
                             &right.to_rows(),
                             &right.schema,
-                            &left_keys,
-                            &right_keys,
-                            &residual,
+                            left_keys,
+                            right_keys,
+                            residual,
                             &self.params,
                         );
                         Table::new(schema, rows)
@@ -635,14 +625,14 @@ impl Executor<'_> {
                     ExecMode::Vectorized => vops::merge_join(
                         &left,
                         &right,
-                        &left_keys,
-                        &right_keys,
-                        &residual,
+                        left_keys,
+                        right_keys,
+                        residual,
                         &self.params,
                         batch,
                     ),
                 };
-                t.sorted_on = left_keys;
+                t.sorted_on.clone_from(left_keys);
                 Ok(t)
             }
             Algo::IndexedNLJoinBase {
@@ -652,9 +642,9 @@ impl Executor<'_> {
                 residual,
             } => {
                 let outer = self.eval_use(inputs[0])?;
-                let inner = self.db.table(table);
-                debug_assert_eq!(inner.sorted_on.first(), Some(&inner_key));
-                self.indexed_nl(&outer, &inner, outer_key, residual)
+                let inner = self.db.table(*table);
+                debug_assert_eq!(inner.sorted_on.first(), Some(inner_key));
+                self.indexed_nl(&outer, &inner, *outer_key, residual)
             }
             Algo::IndexedNLJoinTemp {
                 source,
@@ -663,35 +653,34 @@ impl Executor<'_> {
                 residual,
             } => {
                 let outer = self.eval_use(inputs[0])?;
-                let inner = self.temp_sorted_on(source, inner_key)?;
-                self.indexed_nl(&outer, &inner, outer_key, residual)
+                let inner = self.temp_sorted_on(*source, *inner_key)?;
+                self.indexed_nl(&outer, &inner, *outer_key, residual)
             }
             Algo::Sort { keys } => {
                 let mut input = self.eval_use(inputs[0])?;
-                input.sort_by(&keys);
+                input.sort_by(keys);
                 Ok(input)
             }
             Algo::SortAggregate { keys, aggs } => {
                 let mut input = self.eval_use(inputs[0])?;
                 mqo_chaos::hit(Seam::ColumnAlloc)?;
-                if !keys.is_empty() && !input.sorted_on.starts_with(&keys) {
-                    input.sort_by(&keys);
+                if !keys.is_empty() && !input.sorted_on.starts_with(keys) {
+                    input.sort_by(keys);
                 }
                 let mut t = match mode {
                     ExecMode::Row => {
-                        let rows =
-                            ops::sort_aggregate(&input.to_rows(), &input.schema, &keys, &aggs);
+                        let rows = ops::sort_aggregate(&input.to_rows(), &input.schema, keys, aggs);
                         let mut schema = keys.clone();
                         schema.extend(aggs.iter().map(|a| a.output));
                         Table::new(schema, rows)
                     }
-                    ExecMode::Vectorized => vops::sort_aggregate(&input, &keys, &aggs),
+                    ExecMode::Vectorized => vops::sort_aggregate(&input, keys, aggs),
                 };
-                t.sorted_on = keys;
+                t.sorted_on.clone_from(keys);
                 Ok(t)
             }
             Algo::Project { cols } => {
-                let input = self.eval_use(inputs[0])?;
+                let (input, sel) = self.eval_use_selected(inputs[0])?;
                 let sorted: Vec<_> = input
                     .sorted_on
                     .iter()
@@ -701,11 +690,10 @@ impl Executor<'_> {
                 let mut t = match mode {
                     ExecMode::Row => {
                         let rows =
-                            ops::project(Box::new(input.rows()), &input.schema, &cols).collect();
-                        Table::new(cols, rows)
+                            ops::project(Box::new(input.rows()), &input.schema, cols).collect();
+                        Table::new(cols.clone(), rows)
                     }
-                    // zero-copy: the projection shares column payloads
-                    ExecMode::Vectorized => vops::project(&input, &cols),
+                    ExecMode::Vectorized => vops::project(&input, sel.as_deref(), cols),
                 };
                 t.sorted_on = sorted;
                 Ok(t)
@@ -717,6 +705,75 @@ impl Executor<'_> {
         }
     }
 
+    /// Evaluates selection node `n` — op `op`, a `Filter`,
+    /// `IndexedSelect` or `TempIndexedSelect` — short of its gather: the
+    /// table it selects from, carrying the output's sort order, and the
+    /// surviving rows (`None` = every row). The row engine has no
+    /// selections; it returns its output table and `None`.
+    fn eval_select(
+        &mut self,
+        n: PhysNodeId,
+        op: &'a PhysOp,
+    ) -> Result<(Table, Option<Vec<u32>>), MqoError> {
+        let (mode, batch) = (self.exec.mode, self.exec.batch_rows);
+        let (source, col, pred) = match &op.algo {
+            Algo::Filter { pred } => {
+                let input = self.eval_use(op.inputs[0])?;
+                return Ok(match mode {
+                    ExecMode::Row => {
+                        let rows = ops::filter(
+                            Box::new(input.rows()),
+                            input.schema.clone(),
+                            pred.clone(),
+                            self.params.clone(),
+                        )
+                        .collect();
+                        let mut t = Table::new(input.schema.clone(), rows);
+                        t.sorted_on = input.sorted_on;
+                        (t, None)
+                    }
+                    ExecMode::Vectorized => {
+                        let sel = vops::select(&input, pred, &self.params, batch);
+                        (input, sel)
+                    }
+                });
+            }
+            Algo::IndexedSelect { table, pred } => {
+                let data = self.db.table(*table);
+                let col = data.sorted_on.first().copied().ok_or_else(|| {
+                    MqoError::plan_broken(
+                        n.to_string(),
+                        format!("indexed select over unclustered table {table}"),
+                    )
+                })?;
+                (data, col, pred)
+            }
+            Algo::TempIndexedSelect { source, col, pred } => {
+                (self.temp_sorted_on(*source, *col)?, *col, pred)
+            }
+            _ => {
+                return Err(MqoError::plan_broken(
+                    n.to_string(),
+                    "not a selection operator",
+                ))
+            }
+        };
+        Ok(match mode {
+            ExecMode::Row => {
+                let rows =
+                    ops::index_scan(Arc::clone(&source), pred.clone(), col, self.params.clone())
+                        .collect();
+                let mut t = Table::new(source.schema.clone(), rows);
+                t.sorted_on.clone_from(&source.sorted_on);
+                (t, None)
+            }
+            ExecMode::Vectorized => {
+                let sel = vops::index_select(&source, pred, col, &self.params, batch);
+                (source.as_ref().clone(), Some(sel))
+            }
+        })
+    }
+
     /// Indexed nested-loops join against a sorted inner table, in the
     /// session's execution mode.
     fn indexed_nl(
@@ -724,7 +781,7 @@ impl Executor<'_> {
         outer: &Table,
         inner: &Arc<Table>,
         outer_key: mqo_catalog::ColId,
-        residual: mqo_expr::Predicate,
+        residual: &mqo_expr::Predicate,
     ) -> Result<Table, MqoError> {
         mqo_chaos::hit(Seam::ColumnAlloc)?;
         Ok(match self.exec.mode {
@@ -736,7 +793,7 @@ impl Executor<'_> {
                     &outer.schema,
                     Arc::clone(inner),
                     outer_key,
-                    residual,
+                    residual.clone(),
                     self.params.clone(),
                 )
                 .collect();
@@ -746,7 +803,7 @@ impl Executor<'_> {
                 outer,
                 inner,
                 outer_key,
-                &residual,
+                residual,
                 &self.params,
                 self.exec.batch_rows,
             ),

@@ -1,16 +1,20 @@
 //! Vectorized physical operators over columnar tables.
 //!
-//! Each operator consumes and produces whole [`Table`]s but processes
-//! them in fixed-size batches (`batch` rows, default 1024 via
-//! `MQO_BATCH_ROWS`) of **selection vectors**: a predicate evaluates
-//! column-at-a-time, refining a `Vec<u32>` of surviving row indices per
-//! atom, and rows are only materialized once — by a typed column gather
-//! at the end of the operator. Filters and projections that keep
-//! everything are zero-copy (shared `Arc<Column>` payloads).
+//! Operators process their input in fixed-size batches (`batch` rows,
+//! default 1024 via `MQO_BATCH_ROWS`) of **selection vectors**: a
+//! predicate evaluates column-at-a-time, refining a `Vec<u32>` of
+//! surviving row indices per atom, and rows are only materialized once,
+//! by a typed column gather. Joins, sorts and aggregates gather at the
+//! end of the operator. The selections ([`select`], [`index_select`])
+//! stop before it: they return the row indices over their input's
+//! `Arc`-shared columns, and the consumer gathers — [`project`] only the
+//! columns it keeps, everyone else the whole schema ([`gather_table`]).
+//! A selection that keeps every row is zero-copy either way.
 //!
-//! Every function here is the batched twin of a row-at-a-time operator
-//! in [`crate::ops`] and must produce bit-identical output tables;
-//! `tests/parity.rs` pins that equivalence on randomized inputs.
+//! Every table-producing function here is the batched twin of a
+//! row-at-a-time operator in [`crate::ops`] and must produce
+//! bit-identical output tables; `tests/parity.rs` pins that equivalence
+//! on randomized inputs.
 
 use crate::column::{Column, ColumnBuilder, JoinKey};
 use crate::ops::{self, Params};
@@ -19,6 +23,7 @@ use mqo_catalog::ColId;
 use mqo_expr::{AggExpr, Atom, CmpOp, Conjunct, Predicate, ScalarExpr, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One side of a vectorized atom: a column of the probed input, a
 /// broadcast cell (the current outer row of a join probe), or a column
@@ -208,21 +213,36 @@ fn select_range(
     all
 }
 
-/// Materializes the selected rows of `t` (typed gather per column); the
-/// full selection short-circuits to a zero-copy shallow clone. Like the
-/// row operators, the output carries no sort metadata — the engine owns
+/// Materializes the selected rows (`None` = every row) of the columns at
+/// schema positions `pos` of `t`, one typed gather per column, under
+/// `schema`. A selection that keeps every row shares the payloads
+/// zero-copy. The output carries `sel.len()` rows even with no columns,
+/// and, like the row operators, no sort metadata — the engine owns
 /// `sorted_on` bookkeeping.
-fn gather_table(t: &Table, sel: &[u32]) -> Table {
-    if sel.len() == t.len() {
-        // a sorted subset of 0..len with full cardinality is the identity
-        let mut out = t.clone();
-        out.sorted_on.clear();
-        return out;
-    }
-    Table::from_columns(
-        t.schema.clone(),
-        (0..t.schema.len()).map(|p| t.col(p).gather(sel)).collect(),
-    )
+fn gather(
+    t: &Table,
+    sel: Option<&[u32]>,
+    schema: Vec<ColId>,
+    pos: impl Iterator<Item = usize>,
+) -> Table {
+    // a sorted subset of 0..len with full cardinality is the identity
+    let sel = sel.filter(|s| s.len() < t.len());
+    let cols = pos
+        .map(|p| match sel {
+            None => t.col_arc(p),
+            Some(s) => Arc::new(t.col(p).gather(s)),
+        })
+        .collect();
+    Table::from_shared_columns(schema, cols, sel.map_or(t.len(), <[u32]>::len))
+}
+
+/// Materializes the selected rows (`None` = every row) of all of `t`'s
+/// columns — the gather a selection pays when its consumer keeps the
+/// whole schema (a materialized temp, a query root, any operator but
+/// `Project`).
+#[must_use]
+pub fn gather_table(t: &Table, sel: Option<&[u32]>) -> Table {
+    gather(t, sel, t.schema.clone(), 0..t.schema.len())
 }
 
 /// A join's matches, accumulated as (left, right) row-index pairs.
@@ -306,21 +326,39 @@ impl<'a> JoinMatches<'a> {
     }
 }
 
-/// Batched filter. A constant-TRUE predicate is zero-copy.
+/// Batched filter's selection: the rows of `input` satisfying `pred`,
+/// ascending, or `None` when a constant-TRUE predicate keeps them all.
 #[must_use]
-pub fn filter(input: &Table, pred: &Predicate, params: &Params, batch: usize) -> Table {
-    if pred.is_true() {
-        let mut out = input.clone();
-        out.sorted_on.clear();
-        return out;
-    }
-    let sel = select_range(input, pred, params, 0, input.len(), batch);
-    gather_table(input, &sel)
+pub fn select(input: &Table, pred: &Predicate, params: &Params, batch: usize) -> Option<Vec<u32>> {
+    (!pred.is_true()).then(|| select_range(input, pred, params, 0, input.len(), batch))
 }
 
-/// Batched clustered-index range scan: binary-search the sorted table
-/// using the predicate's bounds on the clustering column, then re-check
-/// the full predicate batch-at-a-time over the narrowed range.
+/// Batched filter: [`select`] + [`gather_table`]. A constant-TRUE
+/// predicate is zero-copy.
+#[must_use]
+pub fn filter(input: &Table, pred: &Predicate, params: &Params, batch: usize) -> Table {
+    gather_table(input, select(input, pred, params, batch).as_deref())
+}
+
+/// Batched clustered-index range scan's selection: binary-search the
+/// sorted table using the predicate's bounds on the clustering column,
+/// then re-check the full predicate batch-at-a-time over the narrowed
+/// range.
+#[must_use]
+pub fn index_select(
+    table: &Table,
+    pred: &Predicate,
+    col: ColId,
+    params: &Params,
+    batch: usize,
+) -> Vec<u32> {
+    let (lo, hi) = ops::probe_bounds(pred, col, params);
+    let (start, end) = table.range_on_sorted(lo.as_ref(), hi.as_ref());
+    select_range(table, pred, params, start, end, batch)
+}
+
+/// Batched clustered-index range scan: [`index_select`] +
+/// [`gather_table`].
 #[must_use]
 pub fn index_scan(
     table: &Table,
@@ -329,20 +367,23 @@ pub fn index_scan(
     params: &Params,
     batch: usize,
 ) -> Table {
-    let (lo, hi) = ops::probe_bounds(pred, col, params);
-    let (start, end) = table.range_on_sorted(lo.as_ref(), hi.as_ref());
-    let sel = select_range(table, pred, params, start, end, batch);
-    gather_table(table, &sel)
+    gather_table(table, Some(&index_select(table, pred, col, params, batch)))
 }
 
-/// Zero-copy projection: shares the selected columns by refcount.
+/// Projection of a selection (`None` = every row): gathers only `cols`,
+/// and shares them zero-copy when every row is selected.
+///
+/// # Panics
+///
+/// Panics when a column of `cols` is not in `input`'s schema.
 #[must_use]
-pub fn project(input: &Table, cols: &[ColId]) -> Table {
-    let shared = cols
-        .iter()
-        .map(|&c| input.col_arc(input.col_pos(c)))
-        .collect();
-    Table::from_shared_columns(cols.to_vec(), shared, input.len())
+pub fn project(input: &Table, sel: Option<&[u32]>, cols: &[ColId]) -> Table {
+    gather(
+        input,
+        sel,
+        cols.to_vec(),
+        cols.iter().map(|&c| input.col_pos(c)),
+    )
 }
 
 /// Batched nested-loops join. When the predicate is one conjunct with

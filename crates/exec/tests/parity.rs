@@ -6,16 +6,21 @@
 //! including the degenerate `MQO_BATCH_ROWS=1`. An engine-level test
 //! pins the same bit-for-bit agreement on whole extracted plans.
 
-use mqo_catalog::{Catalog, ColId, ColStats, ColType};
+use mqo_catalog::{Catalog, ColId, ColStats, ColType, TableId};
 use mqo_core::{optimize, Algorithm, OptContext, Options};
 use mqo_exec::ops::{self, Params};
-use mqo_exec::{execute_plan_with, generate_database, vops, ExecMode, ExecOptions, Row, Table};
+use mqo_exec::{
+    execute_plan_seeded, execute_plan_with, generate_database, vops, Database, ExecMode,
+    ExecOptions, ExecOutcome, Row, Table,
+};
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, Conjunct, ParamId, Predicate, ScalarExpr, Value};
 use mqo_logical::{Batch, LogicalPlan, Query};
+use mqo_physical::{Algo, ChosenOp, ExtractedPlan, PhysNodeId, PhysicalDag};
 use mqo_util::FxHashMap;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Batch sizes every op-level case is checked at: degenerate
 /// tuple-at-a-time, an odd size that straddles chunk boundaries, and
@@ -296,7 +301,7 @@ proptest! {
         }
         cols.truncate(rng.random_range(1usize..=cols.len()));
         let want = row_project(&t, &cols);
-        let got = vops::project(&t, &cols);
+        let got = vops::project(&t, None, &cols);
         prop_assert!(tables_identical(&want, &got));
     }
 
@@ -738,51 +743,247 @@ fn star() -> (Catalog, Batch) {
     )
 }
 
+/// Executes `plan` on the row engine and on the vectorized engine at
+/// every batch size, requires bit-identical outcomes, and returns the
+/// vectorized one (default batch size).
+fn assert_modes_agree(
+    cat: &Catalog,
+    pdag: &PhysicalDag,
+    plan: &ExtractedPlan,
+    db: &Database,
+    label: &str,
+) -> ExecOutcome {
+    let params = FxHashMap::default();
+    let run = |mode, batch_rows| {
+        let exec = ExecOptions {
+            mode,
+            batch_rows,
+            ..ExecOptions::default()
+        };
+        execute_plan_with(cat, pdag, plan, db, &params, exec)
+    };
+    let row = run(ExecMode::Row, 1024);
+    let mut vecs: Vec<ExecOutcome> = BATCHES
+        .iter()
+        .map(|&b| run(ExecMode::Vectorized, b))
+        .collect();
+    for (b, vec) in BATCHES.iter().zip(&vecs) {
+        assert_eq!(row.temps_built, vec.temps_built, "{label}");
+        assert_eq!(row.rows_out, vec.rows_out, "{label} batch {b}");
+        assert_eq!(row.results.len(), vec.results.len());
+        for (qi, (a, v)) in row.results.iter().zip(&vec.results).enumerate() {
+            assert!(
+                tables_identical(a, v),
+                "{label} batch {b}: query {qi} diverged"
+            );
+        }
+    }
+    vecs.pop()
+        .expect("BATCHES ends with the default batch size")
+}
+
 #[test]
 fn engine_modes_agree_bit_for_bit() {
     let (cat, batch) = star();
     let db = generate_database(&cat, 777, usize::MAX);
-    let params = FxHashMap::default();
     let opts = Options::new();
     for alg in [Algorithm::Volcano, Algorithm::Greedy] {
         let r = optimize(&batch, &cat, alg, &opts);
         let ctx = OptContext::build(&batch, &cat, &opts);
-        let row = execute_plan_with(
-            &cat,
-            &ctx.pdag,
-            &r.plan,
-            &db,
-            &params,
-            ExecOptions {
-                mode: ExecMode::Row,
-                batch_rows: 1024,
-                ..ExecOptions::default()
-            },
-        );
-        for batch_rows in BATCHES {
-            let vec = execute_plan_with(
-                &cat,
-                &ctx.pdag,
-                &r.plan,
-                &db,
-                &params,
-                ExecOptions {
-                    mode: ExecMode::Vectorized,
-                    batch_rows,
-                    ..ExecOptions::default()
-                },
-            );
-            assert_eq!(row.temps_built, vec.temps_built, "{alg:?}");
-            assert_eq!(row.rows_out, vec.rows_out, "{alg:?} batch {batch_rows}");
-            assert_eq!(row.results.len(), vec.results.len());
-            for (qi, (a, b)) in row.results.iter().zip(&vec.results).enumerate() {
+        assert_modes_agree(&cat, &ctx.pdag, &r.plan, &db, &format!("{alg:?}"));
+    }
+}
+
+// ---- selections pipelined into their projection -------------------------
+
+/// `t(k, u, v, pad)`, clustered on the key `k`, with a string `pad`
+/// column like lineitem's.
+fn pipelined_catalog() -> (Catalog, TableId) {
+    let mut cat = Catalog::new();
+    let t = cat
+        .table("t")
+        .rows(400.0)
+        .int_key("k")
+        .int_uniform("u", 0, 9)
+        .int_uniform("v", -5, 5)
+        .column("pad", ColType::Str(16), ColStats::opaque(12.0))
+        .clustered_on_first()
+        .build();
+    (cat, t)
+}
+
+/// The Volcano plan of the single query `π_cols σ_pred t`.
+fn project_of_select(
+    cat: &Catalog,
+    t: TableId,
+    pred: Predicate,
+    cols: Vec<ColId>,
+) -> (PhysicalDag, ExtractedPlan) {
+    let q = LogicalPlan::scan(t).select(pred).project(cols);
+    let batch = Batch::of(vec![Query::new("q", q)]);
+    let opts = Options::new();
+    let plan = optimize(&batch, cat, Algorithm::Volcano, &opts).plan;
+    (OptContext::build(&batch, cat, &opts).pdag, plan)
+}
+
+/// The node and algorithm name of the selection the plan's `Project`
+/// reads directly, if it reads one.
+fn selection_under_project(
+    pdag: &PhysicalDag,
+    plan: &ExtractedPlan,
+) -> Option<(PhysNodeId, &'static str)> {
+    let op_of = |n: &PhysNodeId| match plan.choices.get(n)? {
+        ChosenOp::Compute(o) => Some(pdag.op(*o)),
+        ChosenOp::Reuse(_) => None,
+    };
+    plan.choices.keys().find_map(|n| {
+        let Algo::Project { .. } = op_of(n)?.algo else {
+            return None;
+        };
+        let input = op_of(n)?.inputs[0];
+        match op_of(&input)?.algo {
+            Algo::Filter { .. } => Some((input, "Filter")),
+            Algo::IndexedSelect { .. } => Some((input, "IndexedSelect")),
+            _ => None,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// `Project∘Filter` and `Project∘IndexedSelect` on randomized
+    /// predicates (disjunctions, the clustering column or not, the
+    /// string column) and randomized projections (reordered, possibly
+    /// empty, possibly every column).
+    #[test]
+    fn pipelined_selection_parity(seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (cat, t) = pipelined_catalog();
+        let db = generate_database(&cat, seed, usize::MAX);
+        let schema = db.table(t).schema.clone();
+        let pads = db.table(t).col_arc(3);
+        let atom = |rng: &mut StdRng| {
+            let c = rng.random_range(0usize..4);
+            let val = match c {
+                0 => Value::Int(rng.random_range(-10i64..410)),
+                3 => pads.get(rng.random_range(0usize..pads.len())),
+                _ => Value::Int(rng.random_range(-6i64..11)),
+            };
+            Atom::cmp(schema[c], rand_op(rng), val)
+        };
+        let conjuncts = (0..rng.random_range(1usize..3))
+            .map(|_| Conjunct::new((0..rng.random_range(1usize..3)).map(|_| atom(rng)).collect()))
+            .collect();
+        let pred = Predicate::any(conjuncts);
+        let mut cols = schema.clone();
+        for i in (1..cols.len()).rev() {
+            cols.swap(i, rng.random_range(0usize..i + 1));
+        }
+        cols.truncate(rng.random_range(0usize..=cols.len()));
+        let (pdag, plan) = project_of_select(&cat, t, pred.clone(), cols);
+        let shape = selection_under_project(&pdag, &plan).map(|(_, s)| s);
+        assert_modes_agree(&cat, &pdag, &plan, &db, &format!("{shape:?}: {pred}"));
+    }
+}
+
+/// The edges of the pipelined path, each on both selection operators:
+/// every row passes (the projection stays zero-copy), no row passes,
+/// the projection keeps every column, and an empty projection keeps
+/// its row count.
+#[test]
+fn pipelined_selection_edge_cases() {
+    let (cat, t) = pipelined_catalog();
+    let db = generate_database(&cat, 2000, usize::MAX);
+    let base = db.table(t);
+    let [k, u, v, pad] = [0, 1, 2, 3].map(|p| base.schema[p]);
+    let all = base.len();
+    let v_neg = (0..all)
+        .filter(|&r| matches!(base.col(2).get(r), Value::Int(x) if x < 0))
+        .count();
+    assert!(0 < v_neg && v_neg < all, "the v < 0 case must cut");
+    let ge = |c, x: i64| Predicate::atom(Atom::cmp(c, CmpOp::Ge, x));
+    let cases = [
+        ("every row, Filter", ge(u, 0), vec![pad, u], "Filter", all),
+        (
+            "every row, index",
+            ge(k, 0),
+            vec![pad, k],
+            "IndexedSelect",
+            all,
+        ),
+        ("no row, Filter", ge(u, 100), vec![u], "Filter", 0),
+        ("no row, index", ge(k, 1000), vec![u], "IndexedSelect", 0),
+        (
+            "every column",
+            Predicate::atom(Atom::cmp(v, CmpOp::Lt, 0i64)),
+            vec![k, u, v, pad],
+            "Filter",
+            v_neg,
+        ),
+        (
+            "no column, Filter",
+            Predicate::atom(Atom::cmp(v, CmpOp::Lt, 0i64)),
+            vec![],
+            "Filter",
+            v_neg,
+        ),
+        ("no column, index", ge(k, 100), vec![], "IndexedSelect", 300),
+    ];
+    for (name, pred, cols, shape, rows) in cases {
+        let (pdag, plan) = project_of_select(&cat, t, pred, cols.clone());
+        let found = selection_under_project(&pdag, &plan).map(|(_, s)| s);
+        assert_eq!(found, Some(shape), "{name}: plan shape");
+        let out = assert_modes_agree(&cat, &pdag, &plan, &db, name);
+        let result = &out.results[0];
+        // the DAG canonicalizes a projection's column order
+        let mut want = cols;
+        want.sort_unstable();
+        assert_eq!((result.len(), &result.schema), (rows, &want), "{name}");
+        if rows == all {
+            for (i, &c) in result.schema.iter().enumerate() {
                 assert!(
-                    tables_identical(a, b),
-                    "{alg:?} batch {batch_rows}: query {qi} diverged"
+                    Arc::ptr_eq(&result.col_arc(i), &base.col_arc(base.col_pos(c))),
+                    "{name}: column {c} was copied, not shared"
                 );
             }
         }
     }
+}
+
+/// A Filter the plan materializes is built once, over its whole schema,
+/// and the Project above it reads that temp: the projected columns are
+/// the temp's own, not a second filtering of the base table.
+#[test]
+fn materialized_filter_is_read_not_refiltered() {
+    let (cat, t) = pipelined_catalog();
+    let db = generate_database(&cat, 2000, usize::MAX);
+    let [u, v] = [1, 2].map(|p| db.table(t).schema[p]);
+    let pred = Predicate::atom(Atom::cmp(v, CmpOp::Lt, 0i64));
+    let (pdag, mut plan) = project_of_select(&cat, t, pred, vec![u]);
+    let (filter, _) = selection_under_project(&pdag, &plan).expect("π over a Filter");
+    plan.materialized.push(filter);
+    let out = assert_modes_agree(&cat, &pdag, &plan, &db, "materialized Filter");
+    assert_eq!(out.temps_built, 1);
+    let seeded = execute_plan_seeded(
+        &cat,
+        &pdag,
+        &plan,
+        &db,
+        &FxHashMap::default(),
+        ExecOptions::default(),
+        &FxHashMap::default(),
+    );
+    let [(built, temp)] = &seeded.built_temps[..] else {
+        panic!("exactly one temp")
+    };
+    assert_eq!(*built, filter);
+    assert_eq!(temp.schema, db.table(t).schema, "temp gathers every column");
+    let result = &seeded.outcome.results[0];
+    assert!(Arc::ptr_eq(
+        &result.col_arc(0),
+        &temp.col_arc(temp.col_pos(u))
+    ));
 }
 
 #[test]
