@@ -4,7 +4,11 @@
 //! expand → search → extract → execute → admit pipeline with no reuse.
 //! `warm_submit` re-submits the same batch against a populated cache —
 //! steady-state serving, where the plan reads every shared temp
-//! zero-copy. The gap between the two is the session's reason to exist.
+//! zero-copy and, the batch having recurred, is the plan stored for it.
+//! The gap between the two is the session's reason to exist.
+//! `warm_submit_first_sight` is the same warm submit with a fresh label
+//! every iteration: the same plan, but a batch never seen before, so it
+//! is planned in full and pays what recording the sighting adds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_exec::generate_database;
@@ -34,6 +38,18 @@ fn bench_session(c: &mut Criterion) {
         session.submit(&batch).unwrap(); // populate the cache
         g.bench_function("warm_submit", |b| {
             b.iter(|| session.submit(&batch).unwrap())
+        });
+    }
+    {
+        let (mut session, mut batch) = session_at(0.002);
+        session.submit(&batch).unwrap(); // populate the cache
+        let mut fresh = 0u64;
+        g.bench_function("warm_submit_first_sight", |b| {
+            b.iter(|| {
+                fresh += 1;
+                batch.queries[0].label = format!("first-sight-{fresh}");
+                session.submit(&batch).unwrap()
+            })
         });
     }
     g.finish();

@@ -3,9 +3,13 @@
 //!
 //! Each client submits the same two-statement job cold then warm and
 //! checks the bits match; the process then checks all clients agree
-//! with each other, the shared cache recorded warm hits, nothing
-//! failed, and the server shuts down cleanly. Any violation panics
-//! (nonzero exit); success prints the serving counters and exits 0.
+//! with each other and the shared cache recorded warm hits. A steady
+//! phase follows: one client resubmits the job alone three more times,
+//! which must return the same bits and answer at least one of them
+//! with a stored plan (a plan cache that never hits fails here).
+//! Finally nothing may have failed and the server must shut down
+//! cleanly. Any violation panics (nonzero exit); success prints the
+//! serving counters and exits 0.
 //!
 //! Run with: `cargo run --release -p mqo-bench --bin serve-smoke`
 
@@ -81,23 +85,42 @@ fn main() {
         assert_eq!(b, &bits[0], "clients disagree on result bits");
     }
 
-    let (totals, tenants) = server.front().stats();
+    let (totals, _) = server.front().stats();
     assert!(
         totals.cache_hits > 0,
         "no warm hits across {CLIENTS} clients"
     );
+
+    // Steady phase: the job recurs alone, so its batch recurs.
+    let mut c = Client::connect(&addr, "smoke-steady").expect("connect");
+    for round in 0..3 {
+        let again = c.query(SQL).expect("steady query");
+        assert_eq!(
+            canon(&again),
+            bits[0],
+            "steady round {round}: bits differ from cold"
+        );
+    }
+    c.close();
+
+    let (totals, tenants) = server.front().stats();
+    assert!(
+        totals.plan_reuses > 0,
+        "the recurring job never ran a stored plan"
+    );
     assert_eq!(totals.failed, 0, "a batch failed during the smoke");
-    assert_eq!(tenants.len(), CLIENTS, "every tenant has a ledger");
+    assert_eq!(tenants.len(), CLIENTS + 1, "every tenant has a ledger");
     server.shutdown();
 
     println!(
         "serve-smoke: OK — {} batches / {} queries from {} tenants | \
-         {} cache hits, {} temps built, {} admitted, 0 failed",
+         {} cache hits, {} temps built, {} admitted, {} plan reuses, 0 failed",
         totals.batches,
         totals.queries,
         tenants.len(),
         totals.cache_hits,
         totals.temps_built,
-        totals.admitted
+        totals.admitted,
+        totals.plan_reuses
     );
 }

@@ -15,6 +15,7 @@ mod stats;
 pub use stats::{ColStats, Number};
 
 use mqo_util::id_type;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 id_type!(
     /// Identifies a base table in the catalog.
@@ -82,11 +83,29 @@ pub struct Table {
 }
 
 /// The catalog: all tables and columns known to the optimizer.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     tables: Vec<Table>,
     columns: Vec<Column>,
     by_name: mqo_util::FxHashMap<String, TableId>,
+    stats_epoch: u64,
+}
+
+/// A statistics epoch no catalog has had before.
+fn fresh_stats_epoch() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for Catalog {
+    fn default() -> Self {
+        Catalog {
+            tables: Vec::new(),
+            columns: Vec::new(),
+            by_name: mqo_util::FxHashMap::default(),
+            stats_epoch: fresh_stats_epoch(),
+        }
+    }
 }
 
 impl Catalog {
@@ -94,6 +113,18 @@ impl Catalog {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The version of the statistics of the tables and columns already
+    /// defined. Every new catalog starts a process-unique epoch and
+    /// [`Catalog::scale_table`] moves to a new one; appends (`table`,
+    /// `derived_column`) leave existing statistics, hence the epoch,
+    /// unchanged. So two catalogs with the same epoch give every shared
+    /// id the same statistics: a plan for a batch over those ids is the
+    /// same plan under either — what a session's plan cache relies on.
+    #[must_use]
+    pub fn stats_epoch(&self) -> u64 {
+        self.stats_epoch
     }
 
     /// Starts defining a table. Finish with [`TableBuilder::build`].
@@ -190,8 +221,9 @@ impl Catalog {
 
     /// Overrides a table's cardinality (used by scale-factor sweeps). The
     /// per-column distinct counts are scaled proportionally, capped by the
-    /// new cardinality.
+    /// new cardinality. Starts a new [`Catalog::stats_epoch`].
     pub fn scale_table(&mut self, table: TableId, factor: f64) {
+        self.stats_epoch = fresh_stats_epoch();
         let old = self.tables[table.index()].cardinality;
         let new = (old * factor).max(1.0);
         self.tables[table.index()].cardinality = new;
@@ -359,6 +391,30 @@ mod tests {
         assert_eq!(cat.column(dept).stats.distinct, 1000.0);
         let id = cat.col("emp", "id");
         assert_eq!(cat.column(id).stats.distinct, 100_000.0);
+    }
+
+    #[test]
+    fn stats_epoch_moves_on_rescaling_only() {
+        let (mut cat, t) = demo();
+        let (other, _) = demo();
+        assert_ne!(
+            cat.stats_epoch(),
+            other.stats_epoch(),
+            "catalogs never share by accident"
+        );
+        let before = cat.stats_epoch();
+        let clone = cat.clone();
+        let _ = cat.table("dept").rows(10.0).int_key("d").build();
+        let _ = cat.derived_column("total", ColType::Float, ColStats::opaque(5.0));
+        assert_eq!(
+            cat.stats_epoch(),
+            before,
+            "appends keep existing statistics"
+        );
+        assert_eq!(clone.stats_epoch(), before);
+        cat.scale_table(t, 2.0);
+        assert_ne!(cat.stats_epoch(), before);
+        assert_ne!(cat.stats_epoch(), other.stats_epoch());
     }
 
     #[test]

@@ -234,6 +234,11 @@ pub struct OptStats {
     /// result is still valid and verified — Greedy is an anytime search
     /// (paper §4.4) — just not necessarily as good.
     pub degraded: bool,
+    /// True when a serving session answered the batch with a plan it
+    /// stored for the same batch earlier (`mqo-session`'s plan reuse):
+    /// no expansion, physicalization or search ran, the two timings
+    /// are zero, and the counters are those of the stored plan's run.
+    pub plan_reused: bool,
 }
 
 impl OptStats {

@@ -5,7 +5,11 @@ use mqo_expr::{AggExpr, Predicate};
 
 /// A logical plan tree. Joins are inner joins; `pred` on a join is the
 /// conjunction of join conditions between the two sides.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and hashing are structural, with predicate constants
+/// compared as [`Value`](mqo_expr::Value)s compare — the identity a
+/// session's plan cache keys recurring batches by.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LogicalPlan {
     /// Base table scan.
     Scan(TableId),

@@ -1,6 +1,7 @@
 //! Physical DAG construction from the logical AND-OR DAG.
 
 use crate::algo::Algo;
+use crate::extract::{ChosenOp, ExtractedPlan};
 use crate::prop::PhysProp;
 use mqo_catalog::{Catalog, ColId, TableId};
 use mqo_cost::{Cost, CostParams, Estimator};
@@ -157,6 +158,65 @@ impl PhysicalDag {
     #[must_use]
     pub fn reusecost(&self, n: PhysNodeId) -> Cost {
         self.params.reusecost(self.nodes[n.index()].blocks)
+    }
+
+    /// The part of this DAG that executing `plan` reads, with `plan`
+    /// renumbered to it: what a session stores to run a plan again
+    /// without the AND-OR DAG it was searched on.
+    ///
+    /// Every node keeps its id, group, property, size estimates and
+    /// topological number, with empty op and parent lists. Only the ops
+    /// `plan` computes are kept, renumbered in ascending node order, and
+    /// the returned plan's choices point at the new op ids. The slice
+    /// answers [`PhysicalDag::node`] and [`PhysicalDag::op`] for that
+    /// plan only: it has no alternatives, no variant index and no temp
+    /// watchers, so it cannot be searched, costed or extracted again.
+    #[must_use]
+    pub fn plan_slice(&self, plan: &ExtractedPlan) -> (PhysicalDag, ExtractedPlan) {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| PhysNode {
+                prop: n.prop.clone(),
+                ops: Vec::new(),
+                parents: Vec::new(),
+                ..*n
+            })
+            .collect();
+        let mut ops = Vec::new();
+        let mut choices = FxHashMap::default();
+        for id in 0..self.nodes.len() {
+            let n = PhysNodeId::from_index(id);
+            let Some(&choice) = plan.choices.get(&n) else {
+                continue;
+            };
+            let choice = match choice {
+                ChosenOp::Compute(o) => {
+                    ops.push(self.op(o).clone());
+                    ChosenOp::Compute(PhysOpId::from_index(ops.len() - 1))
+                }
+                reuse @ ChosenOp::Reuse(_) => reuse,
+            };
+            choices.insert(n, choice);
+        }
+        let slice = PhysicalDag {
+            params: self.params,
+            nodes,
+            ops,
+            index: FxHashMap::default(),
+            by_group: FxHashMap::default(),
+            temp_watchers: FxHashMap::default(),
+            root: self.root,
+        };
+        let plan = ExtractedPlan {
+            choices,
+            root: plan.root,
+            query_roots: plan.query_roots.clone(),
+            materialized: plan.materialized.clone(),
+            warm_used: plan.warm_used.clone(),
+            total_cost: plan.total_cost,
+        };
+        (slice, plan)
     }
 
     // ------------------------------------------------------------------

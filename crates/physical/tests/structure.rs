@@ -228,3 +228,58 @@ fn matcost_and_reusecost_scale_with_blocks() {
     // write costs more than read-back per the paper's parameters
     assert!(pdag.matcost(big) > pdag.reusecost(big) * 0.9);
 }
+
+/// A plan slice keeps every node (by id) and exactly the ops the plan
+/// computes, in ascending node order, with the plan's choices pointing
+/// at the renumbered copies.
+#[test]
+fn plan_slice_keeps_the_computed_ops_only() {
+    let (_, dag, pdag) = setup();
+    let shared = dag.op_inputs(dag.root_op())[0];
+    let mut mat = MatSet::new();
+    mat.insert(&pdag, pdag.node_for(shared, &PhysProp::Any).unwrap());
+    let table = CostTable::compute(&pdag, &mat);
+    let plan = mqo_physical::ExtractedPlan::extract(&pdag, &table, &mat);
+    let (slice, sliced) = pdag.plan_slice(&plan);
+
+    assert_eq!(slice.num_nodes(), pdag.num_nodes());
+    assert_eq!(slice.root(), pdag.root());
+    for (full, kept) in pdag.nodes().iter().zip(slice.nodes()) {
+        assert_eq!(
+            (kept.group, &kept.prop, kept.topo),
+            (full.group, &full.prop, full.topo)
+        );
+        assert_eq!(kept.rows.to_bits(), full.rows.to_bits());
+        assert_eq!(kept.blocks.to_bits(), full.blocks.to_bits());
+        assert!(kept.ops.is_empty() && kept.parents.is_empty());
+    }
+    let computed = |p: &mqo_physical::ExtractedPlan| {
+        let mut v: Vec<_> = (0..pdag.num_nodes())
+            .map(mqo_physical::PhysNodeId::from_index)
+            .filter_map(|n| match p.choices.get(&n) {
+                Some(&mqo_physical::ChosenOp::Compute(o)) => Some((n, o)),
+                _ => None,
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let before = computed(&plan);
+    let after = computed(&sliced);
+    assert_eq!(slice.num_ops(), before.len());
+    assert!(slice.num_ops() < pdag.num_ops());
+    for (i, (&(n, old), &(m, new))) in before.iter().zip(&after).enumerate() {
+        assert_eq!(n, m);
+        assert_eq!(new.index(), i, "ops renumbered in ascending node order");
+        let (a, b) = (pdag.op(old), slice.op(new));
+        assert_eq!(
+            (a.algo.name(), a.node, &a.inputs),
+            (b.algo.name(), b.node, &b.inputs)
+        );
+    }
+    assert_eq!(sliced.choices.len(), plan.choices.len());
+    assert_eq!(sliced.query_roots, plan.query_roots);
+    assert_eq!(sliced.materialized, plan.materialized);
+    assert_eq!(sliced.warm_used, plan.warm_used);
+    assert_eq!(sliced.total_cost, plan.total_cost);
+}

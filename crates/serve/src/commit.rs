@@ -57,6 +57,8 @@ pub struct FrontTotals {
     pub cache_hits: u64,
     /// Temps built.
     pub temps_built: u64,
+    /// Batches answered with a stored plan instead of a fresh search.
+    pub plan_reuses: u64,
     /// Temps admitted to the store.
     pub admitted: u64,
     /// Entries evicted by admissions.
@@ -177,6 +179,7 @@ impl CommitActor {
         sh.totals.queries += batch_queries;
         sh.totals.cache_hits += result.cache_hits as u64;
         sh.totals.temps_built += result.temps_built as u64;
+        sh.totals.plan_reuses += u64::from(result.plan_reused());
         sh.totals.admitted += result.admitted as u64;
         sh.totals.evicted += result.evicted as u64;
         sh.totals.rejected += result.rejected as u64;

@@ -140,6 +140,7 @@ fn stats_pairs(
         ("total_queries".into(), totals.queries),
         ("total_cache_hits".into(), totals.cache_hits),
         ("total_temps_built".into(), totals.temps_built),
+        ("total_plan_reuses".into(), totals.plan_reuses),
         ("total_admitted".into(), totals.admitted),
         ("total_evicted".into(), totals.evicted),
         ("total_rejected".into(), totals.rejected),

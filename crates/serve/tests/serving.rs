@@ -48,15 +48,20 @@ const ORDERS_AGG: &str = "\
     FROM orders, lineitem WHERE o_orderkey = l_orderkey \
     GROUP BY o_orderdate ORDER BY o_orderdate;";
 
-/// Per-tenant job scripts (tenant name, jobs in submit order).
+/// Per-tenant job scripts (tenant name, jobs in submit order). Jobs
+/// recur, so formed batches do too.
 fn scripts() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
-        ("alice", vec![Q11_PAIR, ORDERS_AGG, Q11_PAIR]),
-        ("bob", vec![Q15_PAIR, Q11_PAIR, ORDERS_AGG]),
-        ("carol", vec![ORDERS_AGG, Q15_PAIR, Q15_PAIR]),
-        ("dave", vec![Q11_PAIR, Q15_PAIR, ORDERS_AGG]),
+        ("alice", vec![Q11_PAIR, ORDERS_AGG, Q11_PAIR, Q11_PAIR]),
+        ("bob", vec![Q15_PAIR, Q11_PAIR, ORDERS_AGG, Q15_PAIR]),
+        ("carol", vec![ORDERS_AGG, Q15_PAIR, Q15_PAIR, ORDERS_AGG]),
+        ("dave", vec![Q11_PAIR, Q15_PAIR, ORDERS_AGG, Q11_PAIR]),
     ]
 }
+
+/// A lone tenant's steady tail after the concurrent phase: one job,
+/// resubmitted alone until its batch is answered with a stored plan.
+const STEADY: (&str, [&str; 3]) = ("steady", [Q15_PAIR; 3]);
 
 /// A statement list containing every distinct query once — submitted
 /// first in BOTH runs so derived-column registration order (hence every
@@ -120,6 +125,11 @@ fn serial_reference() -> BTreeMap<String, Vec<Vec<String>>> {
         let per_job: Vec<Vec<String>> = jobs.iter().map(|sql| run(sql)).collect();
         out.insert(tenant.to_string(), per_job);
     }
+    let (tenant, jobs) = STEADY;
+    out.insert(
+        tenant.to_string(),
+        jobs.iter().map(|sql| run(sql)).collect(),
+    );
     out
 }
 
@@ -176,6 +186,12 @@ fn concurrent_tenants_bit_identical_to_serial_session() {
         let (tenant, per_job) = h.join().expect("tenant thread");
         served.insert(tenant, per_job);
     }
+    let (tenant, jobs) = STEADY;
+    let steady = jobs
+        .iter()
+        .map(|sql| canon_results(&front.submit_sql(tenant, sql).expect("steady submit")))
+        .collect();
+    served.insert(tenant.to_string(), steady);
     front.shutdown();
 
     for (tenant, ref_jobs) in &reference {
@@ -189,12 +205,14 @@ fn concurrent_tenants_bit_identical_to_serial_session() {
         }
     }
 
-    // The runs shared structure, not just correctness: batches formed
-    // and the cache took hits across tenants.
+    // The runs shared structure, not just correctness: batches formed,
+    // the cache took hits across tenants, and recurring batches ran
+    // their stored plans.
     let (totals, tenants) = front.stats();
     assert!(totals.batches > 0);
     assert!(totals.cache_hits > 0, "no warm sharing happened");
-    assert_eq!(tenants.len(), 5, "4 tenants + warmup have ledgers");
+    assert!(totals.plan_reuses > 0, "no recurring batch reused its plan");
+    assert_eq!(tenants.len(), 6, "4 tenants + warmup + steady have ledgers");
 }
 
 /// Cross-tenant cache sharing, sequentially (no forming races): alice

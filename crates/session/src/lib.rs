@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Each [`MqoSession::submit`] is the whole pipeline in one call, and
-//! three mechanisms make consecutive batches cheaper than the first:
+//! four mechanisms make consecutive batches cheaper than the first:
 //!
 //! 1. **Fingerprints** ([`mqo_dag::group_fingerprints`] +
 //!    [`mqo_physical::node_fingerprints`]) give every physical node a
@@ -31,26 +31,41 @@
 //!    compute or materialization — so Greedy/KS15 spend the batch's
 //!    budget on what is *not* already cached, and the extracted plan
 //!    reads warm temps zero-copy instead of recomputing them.
+//! 4. **Plan reuse**: once every shared temp of a recurring batch is
+//!    warm, planning it again is most of what its submit costs — and
+//!    yields the plan it got last time, because the optimizer is
+//!    deterministic in (batch, catalog statistics, warm set, options).
+//!    The [`SessionCore`] keeps a bounded memo of such plans, each a
+//!    plan-only slice of its physical DAG, and a batch that recurs
+//!    against the same warm set skips expand, physicalize,
+//!    fingerprinting and search ([`BatchResult::plan_reused`]).
 //!
 //! Everything stays deterministic: the same batch stream produces
 //! identical plans, costs, and hit/evict sequences at every thread count
-//! and execution batch size. [`Optimizer`] and
+//! and execution batch size, reused plans or not. [`Optimizer`] and
 //! [`execute_plan_with`](mqo_exec::execute_plan_with) remain the
 //! documented single-batch path (multi-strategy comparisons, figure
 //! binaries); the session is the serving path.
 
+mod plan_cache;
+
 use mqo_catalog::Catalog;
 use mqo_chaos::Seam;
-use mqo_core::{OptStats, Optimizer, Options, Registry, Strategy, StrategyError, VerifyLevel};
+use mqo_core::{
+    OptContext, OptStats, Optimized, Optimizer, Options, Registry, Strategy, StrategyError,
+    VerifyLevel,
+};
 use mqo_cost::Cost;
 use mqo_dag::Fingerprint;
 use mqo_exec::{
-    try_execute_plan_seeded, Admission, Database, ExecOptions, MvStats, MvStore, Table,
+    try_execute_plan_seeded, Admission, Database, ExecOptions, ExecOutcome, MvStats, MvStore,
+    SeededOutcome, Table,
 };
 use mqo_expr::{ParamId, Value};
 use mqo_logical::Batch;
-use mqo_physical::{CostTable, MatSet, PhysNodeId};
-use mqo_util::{ErrorStage, FxHashMap, MqoError, MqoErrorKind};
+use mqo_physical::{CostTable, ExtractedPlan, PhysNodeId, PhysicalDag};
+use mqo_util::{BitSet, ErrorStage, FxHashMap, MqoError, MqoErrorKind};
+use plan_cache::{CachedPlan, PlanCache, Sighting};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -231,6 +246,15 @@ pub struct BatchResult {
     pub query_errors: Vec<Option<MqoError>>,
 }
 
+impl BatchResult {
+    /// True when the batch ran a plan stored for it earlier instead of
+    /// being planned again ([`OptStats::plan_reused`]).
+    #[must_use]
+    pub fn plan_reused(&self) -> bool {
+        self.stats.plan_reused
+    }
+}
+
 /// Unified statistics over a session's lifetime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
@@ -242,6 +266,8 @@ pub struct SessionStats {
     pub cache_hits: u64,
     /// Cumulative cold temps materialized.
     pub temps_built: u64,
+    /// Batches answered with a stored plan instead of a fresh search.
+    pub plan_reuses: u64,
     /// Store accounting (admissions, evictions, hit/miss counters of the
     /// store's own lookups).
     pub mv: MvStats,
@@ -409,19 +435,39 @@ pub fn commit_staged(
 }
 
 /// The pure planning-and-execution half of a session: database,
-/// options, and strategy registry, with **no** catalog and **no**
-/// mutable cache state. [`SessionCore::plan_execute`] runs the whole
-/// expand → search → extract → execute pipeline on `&self` against a
-/// read-only [`MvStore`] snapshot, so any number of submits can plan
-/// and execute concurrently over one shared core — the shape the
-/// multi-tenant serving front (`mqo-serve`) builds on. All mutation is
-/// deferred into the returned [`StagedSubmit`], applied later by
-/// [`commit_staged`] under whatever serialization the caller owns
-/// (`&mut self` in [`MqoSession`], a commit actor in `mqo-serve`).
+/// options, strategy registry and plan cache, with **no** catalog and
+/// **no** cross-batch cache state. [`SessionCore::plan_execute`] runs
+/// the whole expand → search → extract → execute pipeline on `&self`
+/// against a read-only [`MvStore`] snapshot, so any number of submits
+/// can plan and execute concurrently over one shared core — the shape
+/// the multi-tenant serving front (`mqo-serve`) builds on. All store
+/// mutation is deferred into the returned [`StagedSubmit`], applied
+/// later by [`commit_staged`] under whatever serialization the caller
+/// owns (`&mut self` in [`MqoSession`], a commit actor in `mqo-serve`).
+///
+/// The one thing a core remembers is which plans it derived: a batch
+/// that recurs against an unchanged warm set is answered with its
+/// stored plan (see [`SessionCore::plan_execute`]). That memo never
+/// changes an answer, a cost or a cache decision — only how long the
+/// submit takes.
 pub struct SessionCore {
     db: Database,
     options: SessionOptions,
     registry: Registry,
+    plans: PlanCache,
+}
+
+/// One batch planned from scratch: the prepared context, the search's
+/// answer, and what plan reuse keys and validates a stored plan by.
+struct Planned<'a> {
+    ctx: OptContext<'a>,
+    optimized: Optimized,
+    /// Fingerprint per physical node.
+    node_fps: Vec<Fingerprint>,
+    /// Nodes whose group reads a parameter (never cached).
+    has_param: BitSet,
+    /// Nodes the search treated as warm.
+    warm: BitSet,
 }
 
 impl SessionCore {
@@ -441,6 +487,7 @@ impl SessionCore {
             db,
             options,
             registry,
+            plans: PlanCache::default(),
         }
     }
 
@@ -465,23 +512,42 @@ impl SessionCore {
         self.registry.register(strategy)
     }
 
+    /// Batch keys the plan cache remembers (at most 256), including
+    /// batches seen once and not yet worth a stored plan.
+    #[must_use]
+    pub fn cached_batches(&self) -> usize {
+        self.plans.len()
+    }
+
     /// Optimizes and executes one batch **purely**: expand → warm-match
     /// against the store snapshot → search → extract → execute, reading
-    /// warm temps zero-copy out of the snapshot. Neither `self` nor
-    /// `store` is mutated; every pending cache effect (warm-hit
-    /// accounting, admission offers) is staged on the returned
-    /// [`StagedSubmit`] for a serialized [`commit_staged`].
+    /// warm temps zero-copy out of the snapshot. Neither the store nor
+    /// any answer-relevant state of `self` is mutated; every pending
+    /// cache effect (warm-hit accounting, admission offers) is staged on
+    /// the returned [`StagedSubmit`] for a serialized [`commit_staged`].
     ///
     /// Because the snapshot's entries are refcounted, the warm tables
     /// the plan reads stay alive even if the authoritative store evicts
     /// them before the commit lands — concurrency can cost a stale
     /// cache decision, never a correctness bug.
     ///
+    /// **Plan reuse.** A batch equal to one this core planned before —
+    /// same queries, weights and labels, same
+    /// [`Catalog::stats_epoch`] — whose stored plan was searched
+    /// against exactly the warm set `store` offers now skips expand,
+    /// physicalize, fingerprinting and search and executes the stored
+    /// plan; the result is bit-identical to planning again and carries
+    /// [`BatchResult::plan_reused`]. A plan is stored on a batch's
+    /// second planning, and only if its search did not degrade and it
+    /// materializes no cold temp. At [`VerifyLevel::Full`] every reuse
+    /// is checked against a fresh plan.
+    ///
     /// # Errors
     ///
     /// Returns an [`MqoError`] for an unknown strategy, an injected
-    /// fault, or a broken invariant; budget expiry degrades instead
-    /// (see [`MqoSession::submit`]).
+    /// fault, or a broken invariant (a reused plan that differs from a
+    /// fresh one included); budget expiry degrades instead (see
+    /// [`MqoSession::submit`]).
     pub fn plan_execute(
         &self,
         catalog: &Catalog,
@@ -491,14 +557,123 @@ impl SessionCore {
         store: &MvStore,
     ) -> Result<StagedSubmit, MqoError> {
         let deadline = self.options.time_budget.map(|b| Instant::now() + b);
-        // --- Stages 1+2: expand and physicalize (per batch, cheap
-        // relative to search + execute).
+        let epoch = catalog.stats_epoch();
+        let key = self.plans.key(batch, epoch);
+        let sighting = self.plans.sight(key, batch, epoch);
+        if let Sighting::Again(Some(cached)) = &sighting {
+            mqo_chaos::hit(Seam::Fingerprint)?;
+            mqo_chaos::hit(Seam::WarmLookup)?;
+            if cached.warm_set_unchanged(store) {
+                if self.options.opt.verify == VerifyLevel::Full {
+                    self.verify_reuse(catalog, batch, seq, store, cached)?;
+                }
+                let (seeded, warm_fps, env_fallback) = self.execute(
+                    catalog,
+                    &cached.pdag,
+                    &cached.plan,
+                    &cached.node_fps,
+                    params,
+                    store,
+                    deadline,
+                )?;
+                // A stored plan builds no cold temp: nothing to offer.
+                return Ok(staged_submit(
+                    cached.cost,
+                    cached.stats,
+                    &cached.plan,
+                    seeded.outcome,
+                    Vec::new(),
+                    warm_fps,
+                    env_fallback,
+                ));
+            }
+        }
+
+        let planned = self.plan(catalog, batch, seq, store, deadline)?;
+        let Planned {
+            ctx,
+            optimized,
+            node_fps,
+            has_param,
+            ..
+        } = &planned;
+        let plan = &optimized.plan;
+        let (seeded, warm_fps, env_fallback) =
+            self.execute(catalog, &ctx.pdag, plan, node_fps, params, store, deadline)?;
+
+        // --- Admission staging: price this batch's cold temps by the
+        // optimizer's own benefit estimate (compute − reuse, per whole
+        // block) under the final materialized set. Pricing needs
+        // per-node costs, which `Optimized` does not carry, so one
+        // bottom-up CostTable pass is paid here — but only on batches
+        // that actually built temps; the steady-state fully-warm submit
+        // (built_temps empty) skips it entirely.
+        let mut offers = Vec::new();
+        if !seeded.built_temps.is_empty() && store.budget_bytes() > 0 {
+            let table = CostTable::compute(&ctx.pdag, &optimized.mat);
+            for (n, temp) in &seeded.built_temps {
+                if has_param.contains(n.index()) {
+                    continue; // parameter-dependent: never cache
+                }
+                let (node_cost, fp) =
+                    match (table.node_cost.get(n.index()), node_fps.get(n.index())) {
+                        (Some(c), Some(f)) => (*c, *f),
+                        _ => {
+                            return Err(MqoError::invariant(
+                                ErrorStage::Session,
+                                n.to_string(),
+                                "built temp's node is outside the cost/fingerprint tables",
+                            ))
+                        }
+                    };
+                let benefit = (node_cost - ctx.pdag.reusecost(*n)).secs();
+                offers.push(AdmissionOffer {
+                    fp,
+                    table: Arc::clone(temp),
+                    benefit_secs: benefit,
+                    blocks: ctx.pdag.node(*n).blocks,
+                });
+            }
+        }
+
+        // --- Plan reuse: a batch planned before, whose plan reads only
+        // warm temps and did not degrade, keeps its plan for next time.
+        let keep = matches!(sighting, Sighting::Again(_))
+            && !optimized.stats.degraded
+            && plan.materialized.is_empty();
+        let staged = staged_submit(
+            optimized.cost,
+            optimized.stats,
+            plan,
+            seeded.outcome,
+            offers,
+            warm_fps,
+            env_fallback,
+        );
+        if keep {
+            self.plans
+                .store(key, CachedPlan::new(batch, epoch, planned));
+        }
+        Ok(staged)
+    }
+
+    /// Stages 1–3 from scratch: expand and physicalize the batch,
+    /// fingerprint every physical node, seed the warm set with the
+    /// snapshot's live entries, and search with the configured
+    /// strategy. The warm seed makes the search spend this batch's
+    /// budget on what is not already cached.
+    fn plan<'a>(
+        &self,
+        catalog: &'a Catalog,
+        batch: &Batch,
+        seq: u64,
+        store: &MvStore,
+        deadline: Option<Instant>,
+    ) -> Result<Planned<'a>, MqoError> {
         let opt = self.options.opt.with_deadline(deadline);
         let optimizer = Optimizer::with_registry(catalog, opt, self.registry.clone());
         let mut ctx = optimizer.prepare(batch);
 
-        // --- Cross-batch identity: fingerprint every physical node and
-        // seed the warm set with the snapshot's live entries.
         mqo_chaos::hit(Seam::Fingerprint)?;
         let group_fps = mqo_dag::try_group_fingerprints(&ctx.dag).map_err(|e| {
             MqoError::new(
@@ -511,23 +686,43 @@ impl SessionCore {
         })?;
         let node_fps = mqo_physical::node_fingerprints(&ctx.pdag, &group_fps);
         mqo_chaos::hit(Seam::WarmLookup)?;
-        let mut warm = MatSet::new();
-        for (idx, &fp) in node_fps.iter().enumerate() {
-            let n = PhysNodeId::from_index(idx);
-            if store.contains(fp) && !ctx.dag.group(ctx.pdag.node(n).group).has_param {
-                warm.insert(&ctx.pdag, n);
+        let mut has_param = BitSet::new();
+        for (idx, node) in ctx.pdag.nodes().iter().enumerate() {
+            if ctx.dag.group(node.group).has_param {
+                has_param.insert(idx);
             }
         }
-        ctx.warm = warm;
+        let warm = plan_cache::warm_mask(&node_fps, &has_param, store);
+        for idx in warm.iter() {
+            ctx.warm.insert(&ctx.pdag, PhysNodeId::from_index(idx));
+        }
 
-        // --- Stage 3: search with the configured strategy; the warm
-        // seed makes the search spend this batch's budget on what is
-        // not already cached.
         let optimized = optimizer.search(&ctx, &self.options.strategy)?;
-        let plan = &optimized.plan;
+        Ok(Planned {
+            ctx,
+            optimized,
+            node_fps,
+            has_param,
+            warm,
+        })
+    }
 
-        // --- Stage 4: execute, reading warm temps zero-copy from the
-        // snapshot (no stats mutation — hits are recorded at commit).
+    /// Stage 4: executes `plan` over `pdag`, reading warm temps
+    /// zero-copy from the snapshot (no stats mutation — hits are
+    /// recorded at commit). Returns the outcome, the fingerprints of the
+    /// warm temps read, and whether the engine knobs fell back to
+    /// defaults.
+    #[allow(clippy::too_many_arguments)]
+    fn execute(
+        &self,
+        catalog: &Catalog,
+        pdag: &PhysicalDag,
+        plan: &ExtractedPlan,
+        node_fps: &[Fingerprint],
+        params: &FxHashMap<ParamId, Value>,
+        store: &MvStore,
+        deadline: Option<Instant>,
+    ) -> Result<(SeededOutcome, Vec<Fingerprint>, bool), MqoError> {
         let mut seeds: FxHashMap<PhysNodeId, Arc<Table>> = FxHashMap::default();
         let mut warm_fps = Vec::with_capacity(plan.warm_used.len());
         for &w in &plan.warm_used {
@@ -563,50 +758,65 @@ impl SessionCore {
             mem_budget_bytes: self.options.mem_budget,
             ..base
         };
-        let seeded = try_execute_plan_seeded(
-            catalog, &ctx.pdag, plan, &self.db, params, exec_opts, &seeds,
-        )?;
+        let seeded =
+            try_execute_plan_seeded(catalog, pdag, plan, &self.db, params, exec_opts, &seeds)?;
+        Ok((seeded, warm_fps, env_fallback))
+    }
 
-        // --- Admission staging: price this batch's cold temps by the
-        // optimizer's own benefit estimate (compute − reuse, per whole
-        // block) under the final materialized set. Pricing needs
-        // per-node costs, which `Optimized` does not carry, so one
-        // bottom-up CostTable pass is paid here — but only on batches
-        // that actually built temps; the steady-state fully-warm submit
-        // (built_temps empty) skips it entirely.
-        let mut offers = Vec::new();
-        if !seeded.built_temps.is_empty() && store.budget_bytes() > 0 {
-            let table = CostTable::compute(&ctx.pdag, &optimized.mat);
-            for (n, temp) in &seeded.built_temps {
-                if ctx.dag.group(ctx.pdag.node(*n).group).has_param {
-                    continue; // parameter-dependent: never cache
-                }
-                let (node_cost, fp) =
-                    match (table.node_cost.get(n.index()), node_fps.get(n.index())) {
-                        (Some(c), Some(f)) => (*c, *f),
-                        _ => {
-                            return Err(MqoError::invariant(
-                                ErrorStage::Session,
-                                n.to_string(),
-                                "built temp's node is outside the cost/fingerprint tables",
-                            ))
-                        }
-                    };
-                let benefit = (node_cost - ctx.pdag.reusecost(*n)).secs();
-                offers.push(AdmissionOffer {
-                    fp,
-                    table: Arc::clone(temp),
-                    benefit_secs: benefit,
-                    blocks: ctx.pdag.node(*n).blocks,
-                });
-            }
+    /// The [`VerifyLevel::Full`] check of a reuse: plans the batch from
+    /// scratch, ungoverned, and requires the stored plan's cost bits,
+    /// cold and warm temps and query roots to be the fresh plan's.
+    fn verify_reuse(
+        &self,
+        catalog: &Catalog,
+        batch: &Batch,
+        seq: u64,
+        store: &MvStore,
+        cached: &CachedPlan,
+    ) -> Result<(), MqoError> {
+        let fresh = self.plan(catalog, batch, seq, store, None)?.optimized;
+        let (a, b) = (&cached.plan, &fresh.plan);
+        let same = cached.cost.secs().to_bits() == fresh.cost.secs().to_bits()
+            && a.materialized == b.materialized
+            && a.warm_used == b.warm_used
+            && a.query_roots == b.query_roots;
+        if same {
+            return Ok(());
         }
+        Err(MqoError::invariant(
+            ErrorStage::Session,
+            format!("batch {seq}"),
+            format!(
+                "reused plan differs from a fresh plan of the same batch: cost {} vs {} s, \
+                 cold temps {:?} vs {:?}, warm temps {:?} vs {:?}, query roots {:?} vs {:?}",
+                cached.cost.secs(),
+                fresh.cost.secs(),
+                a.materialized,
+                b.materialized,
+                a.warm_used,
+                b.warm_used,
+                a.query_roots,
+                b.query_roots
+            ),
+        ))
+    }
+}
 
-        let outcome = seeded.outcome;
-        let degraded = optimized.stats.degraded || outcome.query_errors.iter().any(Option::is_some);
-        let result = BatchResult {
-            cost: optimized.cost,
-            stats: optimized.stats,
+/// Assembles the staged outcome of one executed plan.
+fn staged_submit(
+    cost: Cost,
+    stats: OptStats,
+    plan: &ExtractedPlan,
+    outcome: ExecOutcome,
+    offers: Vec<AdmissionOffer>,
+    warm_fps: Vec<Fingerprint>,
+    env_fallback: bool,
+) -> StagedSubmit {
+    let degraded = stats.degraded || outcome.query_errors.iter().any(Option::is_some);
+    StagedSubmit {
+        result: BatchResult {
+            cost,
+            stats,
             exec_wall: outcome.wall,
             rows_out: outcome.rows_out,
             temps_built: outcome.temps_built,
@@ -617,13 +827,10 @@ impl SessionCore {
             degraded,
             query_errors: outcome.query_errors,
             results: outcome.results,
-        };
-        Ok(StagedSubmit {
-            result,
-            offers,
-            warm_fps,
-            env_fallback,
-        })
+        },
+        offers,
+        warm_fps,
+        env_fallback,
     }
 }
 
@@ -633,6 +840,7 @@ struct SessionTotals {
     queries: u64,
     cache_hits: u64,
     temps_built: u64,
+    plan_reuses: u64,
     est_cost_secs: f64,
     opt_secs: f64,
     exec_secs: f64,
@@ -679,7 +887,9 @@ impl MqoSession {
     /// Mutable access to the session's catalog, for registering derived
     /// columns (e.g. SQL aggregate outputs) between submits. The
     /// catalog is append-only in practice: plans cached from earlier
-    /// batches keep referencing their original column ids.
+    /// batches keep referencing their original column ids. Changing
+    /// statistics ([`Catalog::scale_table`]) starts a new
+    /// [`Catalog::stats_epoch`], so no stored plan is reused across it.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
@@ -727,6 +937,7 @@ impl MqoSession {
             queries: self.totals.queries,
             cache_hits: self.totals.cache_hits,
             temps_built: self.totals.temps_built,
+            plan_reuses: self.totals.plan_reuses,
             mv: self.store.stats(),
             mv_entries: self.store.len(),
             mv_bytes_used: self.store.bytes_used(),
@@ -743,10 +954,11 @@ impl MqoSession {
         }
     }
 
-    /// Drops every cached materialized view (stats survive) — the next
-    /// submit runs cold.
+    /// Drops every cached materialized view and every stored plan
+    /// (stats survive) — the next submit runs cold.
     pub fn clear_cache(&mut self) {
         self.store.clear();
+        self.core.plans.clear();
     }
 
     /// Optimizes and executes one batch: expand → search (planning
@@ -811,6 +1023,7 @@ impl MqoSession {
                 self.totals.queries += batch.len() as u64;
                 self.totals.cache_hits += result.cache_hits as u64;
                 self.totals.temps_built += result.temps_built as u64;
+                self.totals.plan_reuses += u64::from(result.plan_reused());
                 self.totals.est_cost_secs += result.cost.secs();
                 self.totals.opt_secs += result.stats.total_time_secs();
                 self.totals.exec_secs += result.exec_wall.as_secs_f64();

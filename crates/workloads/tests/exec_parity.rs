@@ -116,3 +116,65 @@ fn scaleup_cq2_paths_agree() {
     let w = Scaleup::new(7);
     run_parity(&w.cq(2), &w.catalog, 11, "CQ2");
 }
+
+/// Executing a plan over its [`PhysicalDag::plan_slice`] — what a
+/// session stores for plan reuse — is executing it over the full DAG:
+/// bit-identical outcomes for every strategy's plan of the fig6–fig10
+/// batches and the serving stream, on both engines at batch rows 1 and
+/// 1024.
+///
+/// [`PhysicalDag::plan_slice`]: mqo_physical::PhysicalDag::plan_slice
+#[test]
+fn plan_slices_execute_like_the_full_dag() {
+    let tpcd = Tpcd::new(0.002);
+    let scaleup = Scaleup::new(7);
+    let mut inputs: Vec<(String, &mqo_catalog::Catalog, mqo_logical::Batch)> = Vec::new();
+    for (name, batch) in tpcd.standalone() {
+        inputs.push((name.to_string(), &tpcd.catalog, batch));
+    }
+    for i in 1..=5 {
+        inputs.push((format!("BQ{i}"), &tpcd.catalog, tpcd.bq(i)));
+        inputs.push((format!("CQ{i}"), &scaleup.catalog, scaleup.cq(i)));
+    }
+    for (i, batch) in tpcd.serving_batches(5).into_iter().enumerate() {
+        inputs.push((format!("serving{i}"), &tpcd.catalog, batch));
+    }
+    // The plans are planned at full statistics; capped tables keep the
+    // 168 executions per engine quick.
+    let tpcd_db = generate_database(&tpcd.catalog, 20_260, 500);
+    let scaleup_db = generate_database(&scaleup.catalog, 11, 500);
+    let mut params = FxHashMap::default();
+    params.insert(mqo_expr::ParamId(0), Value::Int(1));
+    let engines = [
+        (ExecMode::Row, 1024),
+        (ExecMode::Vectorized, 1),
+        (ExecMode::Vectorized, 1024),
+    ];
+    for (name, catalog, batch) in &inputs {
+        let db = if name.starts_with("CQ") {
+            &scaleup_db
+        } else {
+            &tpcd_db
+        };
+        let optimizer = mqo_core::Optimizer::with_options(catalog, Options::new());
+        let ctx = optimizer.prepare(batch);
+        for alg in Algorithm::ALL {
+            let plan = optimizer.search(&ctx, alg.name()).unwrap().plan;
+            let (slice, sliced) = ctx.pdag.plan_slice(&plan);
+            for (mode, batch_rows) in engines {
+                let exec = ExecOptions {
+                    mode,
+                    batch_rows,
+                    ..ExecOptions::default()
+                };
+                let full = execute_plan_with(catalog, &ctx.pdag, &plan, db, &params, exec);
+                let cut = execute_plan_with(catalog, &slice, &sliced, db, &params, exec);
+                assert_outcomes_identical(
+                    &full,
+                    &cut,
+                    &format!("{name}/{} {mode:?} batch={batch_rows} (slice)", alg.name()),
+                );
+            }
+        }
+    }
+}
