@@ -80,36 +80,6 @@ fn bench_greedy_ablations(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel probe wave vs the sequential probe loop, at 1/2/4/8
-/// workers. `probe_all` (monotonicity off) is pure probe-loop — the
-/// direct wave-vs-loop comparison; `heap` is the full §4.3 path with
-/// top-K wave re-evaluation. Results are identical at every thread
-/// count; only the wall clock may differ (and only improves with real
-/// hardware parallelism — on a single-core host the wave degenerates to
-/// the sequential loop plus channel overhead).
-fn bench_greedy_parallel(c: &mut Criterion) {
-    let w = Scaleup::new(2_000);
-    let session = Optimizer::new(&w.catalog);
-    let ctx = session.prepare(&w.cq(3));
-    let mut group = c.benchmark_group("greedy_parallel");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        for (name, g) in [
-            ("probe_all", GreedyOptions::new().with_monotonicity(false)),
-            ("heap", GreedyOptions::new()),
-        ] {
-            let optimizer = Optimizer::with_options(
-                &w.catalog,
-                Options::new().with_greedy(g).with_threads(threads),
-            );
-            group.bench_function(format!("CQ3/{name}/threads{threads}"), |b| {
-                b.iter(|| black_box(optimizer.search(&ctx, "Greedy").unwrap().cost));
-            });
-        }
-    }
-    group.finish();
-}
-
 fn bench_greedy_vs_ks15(c: &mut Criterion) {
     let w = Scaleup::new(2_000);
     let optimizer = bench_optimizer(&w.catalog);
@@ -128,7 +98,6 @@ criterion_group!(
     benches,
     bench_incremental_vs_full,
     bench_greedy_ablations,
-    bench_greedy_parallel,
     bench_greedy_vs_ks15
 );
 criterion_main!(benches);

@@ -18,12 +18,8 @@ use mqo_core::{GreedyOptions, OptContext, Optimized, Optimizer, Options};
 use mqo_workloads::Scaleup;
 
 /// Re-searches a prepared context with the given ablation switches.
-/// Pinned to one probe thread: the §4.3 parallel heap path probes
-/// speculative top-K waves, which would make the `benefit
-/// recomputations` columns vary with the host's core count — the
-/// ablation's whole point is reproducible counters.
 fn run(optimizer: &mut Optimizer<'_>, ctx: &OptContext<'_>, g: GreedyOptions) -> Optimized {
-    *optimizer.options_mut() = Options::new().with_greedy(g).with_threads(1);
+    *optimizer.options_mut() = Options::new().with_greedy(g);
     optimizer.search(ctx, "Greedy").expect("built-in")
 }
 

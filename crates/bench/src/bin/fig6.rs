@@ -22,7 +22,6 @@ fn main() {
         "Greedy",
         "KS15",
     ]);
-    let threads = mqo_util::resolve_threads(optimizer.options().threads);
     let mut time_t = TextTable::new(&[
         "query",
         "DAG(ms)",
@@ -31,7 +30,6 @@ fn main() {
         "Volcano-RU(ms)",
         "Greedy(ms)",
         "KS15(ms)",
-        "threads",
     ]);
     for (name, batch) in w.standalone() {
         let ctx = optimizer.prepare(&batch); // expanded once, shared
@@ -46,7 +44,6 @@ fn main() {
             [name.to_string(), ms(ctx.dag_time_secs)]
                 .into_iter()
                 .chain(results.iter().map(|(_, r)| ms(r.stats.search_time_secs)))
-                .chain([threads.to_string()])
                 .collect(),
         );
     }

@@ -19,7 +19,6 @@ fn main() {
         "Greedy",
         "KS15",
     ]);
-    let threads = mqo_util::resolve_threads(optimizer.options().threads);
     let mut time_t = TextTable::new(&[
         "batch",
         "DAG(ms)",
@@ -30,7 +29,6 @@ fn main() {
         "KS15(ms)",
         "groups",
         "ops",
-        "threads",
     ]);
     for i in 1..=5 {
         let batch = w.cq(i);
@@ -47,11 +45,7 @@ fn main() {
             [format!("CQ{i}"), ms(ctx.dag_time_secs)]
                 .into_iter()
                 .chain(results.iter().map(|(_, r)| ms(r.stats.search_time_secs)))
-                .chain([
-                    g.stats.dag_groups.to_string(),
-                    g.stats.dag_ops.to_string(),
-                    threads.to_string(),
-                ])
+                .chain([g.stats.dag_groups.to_string(), g.stats.dag_ops.to_string()])
                 .collect(),
         );
     }

@@ -2,9 +2,9 @@
 //!
 //! Modeled on TiKV's `fail` crate but dependency-free and tailored to
 //! this workspace: the pipeline's hot paths call [`hit`] at ~10 named
-//! [`Seam`]s (cost propagation, pool sends, temp builds, admissions,
-//! ...), and a test installs a [`Schedule`] that decides which hit
-//! turns into an `Err(MqoError)` with kind `FaultInjected`. Because
+//! [`Seam`]s (cost propagation, temp builds, admissions, ...), and a
+//! test installs a [`Schedule`] that decides which hit turns into an
+//! `Err(MqoError)` with kind `FaultInjected`. Because
 //! every seam fires on the coordinating thread and the pipeline itself
 //! is deterministic, a schedule identifies *exactly one* execution
 //! point — replaying the same schedule fails the same way every time,
@@ -44,9 +44,6 @@ use mqo_util::{ErrorStage, MqoError};
 pub enum Seam {
     /// Greedy/KS15 search loop: one candidate probe round.
     CostPropagation,
-    /// Parallel search: a wave of probe jobs is about to be sent to the
-    /// worker pool.
-    PoolSend,
     /// Plan extraction from the converged materialization set.
     Extract,
     /// Session: canonical DAG fingerprinting for cache identity.
@@ -80,9 +77,8 @@ pub enum Seam {
 
 impl Seam {
     /// Every seam, in pipeline order — the chaos driver sweeps this.
-    pub const ALL: [Seam; 13] = [
+    pub const ALL: [Seam; 12] = [
         Seam::CostPropagation,
-        Seam::PoolSend,
         Seam::Extract,
         Seam::Fingerprint,
         Seam::WarmLookup,
@@ -101,7 +97,6 @@ impl Seam {
     pub fn name(self) -> &'static str {
         match self {
             Seam::CostPropagation => "cost-propagation",
-            Seam::PoolSend => "pool-send",
             Seam::Extract => "extract",
             Seam::Fingerprint => "fingerprint",
             Seam::WarmLookup => "warm-lookup",
@@ -120,7 +115,7 @@ impl Seam {
     #[must_use]
     pub fn stage(self) -> ErrorStage {
         match self {
-            Seam::CostPropagation | Seam::PoolSend => ErrorStage::Search,
+            Seam::CostPropagation => ErrorStage::Search,
             Seam::Extract => ErrorStage::Extract,
             Seam::Fingerprint => ErrorStage::Plan,
             Seam::WarmLookup => ErrorStage::Session,
@@ -134,18 +129,17 @@ impl Seam {
     fn index(self) -> usize {
         match self {
             Seam::CostPropagation => 0,
-            Seam::PoolSend => 1,
-            Seam::Extract => 2,
-            Seam::Fingerprint => 3,
-            Seam::WarmLookup => 4,
-            Seam::TempBuild => 5,
-            Seam::ExecOperator => 6,
-            Seam::ColumnAlloc => 7,
-            Seam::Admission => 8,
-            Seam::Eviction => 9,
-            Seam::FormerEnqueue => 10,
-            Seam::CommitSend => 11,
-            Seam::SnapshotRead => 12,
+            Seam::Extract => 1,
+            Seam::Fingerprint => 2,
+            Seam::WarmLookup => 3,
+            Seam::TempBuild => 4,
+            Seam::ExecOperator => 5,
+            Seam::ColumnAlloc => 6,
+            Seam::Admission => 7,
+            Seam::Eviction => 8,
+            Seam::FormerEnqueue => 9,
+            Seam::CommitSend => 10,
+            Seam::SnapshotRead => 11,
         }
     }
 }

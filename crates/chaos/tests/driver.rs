@@ -37,15 +37,12 @@ fn serial() -> MutexGuard<'static, ()> {
 const SCALE: f64 = 0.002;
 
 /// A fully verified serving session over the TPC-D stream, plus the
-/// batches to feed it. Thread count pinned at 2 so the parallel search
-/// path (and its `pool-send` seam) is exercised deterministically.
+/// batches to feed it.
 fn serving() -> (MqoSession, Vec<Batch>) {
     let w = Tpcd::new(SCALE);
     let batches = w.serving_batches(3);
     let db = generate_database(&w.catalog, 42, usize::MAX);
-    let opts = SessionOptions::new()
-        .with_opt(Options::new().with_verify(VerifyLevel::Full))
-        .with_threads(2);
+    let opts = SessionOptions::new().with_opt(Options::new().with_verify(VerifyLevel::Full));
     (MqoSession::new(w.catalog, db, opts), batches)
 }
 
@@ -116,7 +113,6 @@ fn single_fault_at_every_seam_is_recoverable() {
     // the cold serving batch demonstrably crosses the whole pipeline
     for expected in [
         "cost-propagation",
-        "pool-send",
         "extract",
         "fingerprint",
         "warm-lookup",
@@ -167,15 +163,14 @@ fn search_faults_err_and_rerun_reproduces_the_plan() {
     mqo_chaos::clear();
     let w = Scaleup::new(7);
     let batch = w.cq(4);
-    let mut optimizer =
-        mqo_core::Optimizer::with_options(&w.catalog, Options::new().with_threads(2));
+    let mut optimizer = mqo_core::Optimizer::new(&w.catalog);
     optimizer
         .register(Arc::new(mqo_ks15::Ks15Greedy))
         .expect("KS15 name is free");
     let ctx = optimizer.prepare(&batch);
     for name in ["Greedy", "KS15-Greedy"] {
         let base = optimizer.search(&ctx, name).expect("no-fault search");
-        for seam in [Seam::CostPropagation, Seam::PoolSend, Seam::Extract] {
+        for seam in [Seam::CostPropagation, Seam::Extract] {
             mqo_chaos::install(Schedule::single(seam, 1));
             let faulted = optimizer.search(&ctx, name);
             let fired = mqo_chaos::fired() > 0;

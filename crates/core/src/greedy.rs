@@ -3,25 +3,10 @@
 //! update (§4.2/Figure 5, see [`crate::CostState`]), and the
 //! monotonicity heuristic (§4.3).
 //!
-//! # Parallel benefit probing
-//!
-//! Nearly all of greedy's time goes into *probing*: computing the
-//! benefit of each candidate on top of the current materialized set.
-//! Probes within one iteration are independent — each tries one node and
-//! restores the state — so they shard across a
-//! [`ScopedWorkerPool`](mqo_util::ScopedWorkerPool). Every worker owns a
-//! [`CostState`] replica kept in sync with the primary by broadcasting
-//! each committed materialization; a probe wave sends each worker a
-//! contiguous shard of the candidates and merges the returned benefits
-//! and [`OptStats`] counters (see [`OptStats::merge_counters`]), so
-//! `benefit_recomputations`/`cost_propagations` stay exact.
-//!
-//! Parallelism never changes the answer: benefits are pure functions of
-//! `(materialized set, node)`, the merged wave replays the sequential
-//! selection rule, and the §4.3 heap replays the sequential
-//! pop/probe/reinsert decisions against a cache of wave-probed fresh
-//! benefits. Plan, cost, and materialized set are identical at every
-//! thread count, and `threads = 1` runs the plain sequential loops.
+//! The search runs on one thread. Nearly all of its time goes into
+//! *probing* — the benefit of one candidate on top of the current
+//! materialized set — and the §4 optimizations are what keep probes few
+//! (pre-filtering, the §4.3 heap) and cheap (the incremental update).
 
 use crate::state::CostState;
 use crate::{deadline_expired, OptContext, OptStats, Optimized, Options, Strategy};
@@ -29,14 +14,12 @@ use mqo_chaos::Seam;
 use mqo_cost::Cost;
 use mqo_dag::sharable_groups;
 use mqo_physical::{ExtractedPlan, PhysNodeId, PhysicalDag};
-use mqo_util::{FxHashMap, MqoError, ScopedWorkerPool};
+use mqo_util::MqoError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The greedy strategy (registry name `"Greedy"`): wraps [`greedy`],
-/// drawing its ablation switches from [`Options::greedy`] and falling
-/// back to [`Options::threads`] when no greedy-specific thread count is
-/// set.
+/// drawing its ablation switches from [`Options::greedy`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy;
 
@@ -47,9 +30,6 @@ impl Strategy for Greedy {
 
     fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError> {
         let mut g = options.greedy;
-        if g.threads == 0 {
-            g.threads = options.threads;
-        }
         if g.deadline.is_none() {
             g.deadline = options.deadline;
         }
@@ -80,11 +60,6 @@ pub struct GreedyOptions {
     /// materialization stops once the budget is exhausted. Temp space is
     /// charged in whole blocks (a sub-block result still occupies one).
     pub space_budget_blocks: Option<f64>,
-    /// Worker threads for benefit probing: `1` = sequential, `0` = auto
-    /// ([`Options::threads`] for the registered strategy, else the
-    /// `MQO_THREADS` environment variable, else available parallelism).
-    /// The result is identical at every thread count.
-    pub threads: usize,
     /// Cooperative deadline, checked at every heap pop / probe round.
     /// On expiry the search commits the best-so-far materialized set
     /// (greedy is an anytime algorithm, §4.4) and flags
@@ -101,7 +76,6 @@ impl Default for GreedyOptions {
             use_incremental: true,
             sorted_candidates: true,
             space_budget_blocks: None,
-            threads: 0,
             deadline: None,
         }
     }
@@ -140,12 +114,6 @@ impl GreedyOptions {
     /// Sets the temporary-storage budget in blocks (§8 future work).
     pub fn with_space_budget_blocks(mut self, blocks: Option<f64>) -> Self {
         self.space_budget_blocks = blocks;
-        self
-    }
-
-    /// Sets the probe-worker thread count (`0` = auto, `1` = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -189,32 +157,8 @@ impl Ord for HeapEntry {
     }
 }
 
-/// One unit of work for a probe worker.
-#[derive(Clone)]
-enum ProbeJob {
-    /// Probe a shard of candidates against the worker's replica.
-    /// `base` is the shard's offset in the wave's node list.
-    Wave {
-        base: usize,
-        nodes: Vec<PhysNodeId>,
-        cur_total: Cost,
-    },
-    /// A node was committed: apply it to the replica so later probes see
-    /// the same materialized set as the primary state.
-    Commit(PhysNodeId),
-}
-
-/// A probe shard's answer: raw benefits aligned with the shard's nodes,
-/// plus the counters accrued computing them.
-struct WaveOut {
-    base: usize,
-    benefits: Vec<f64>,
-    stats: OptStats,
-}
-
 /// Benefit of materializing `x` on top of `state` (restores the state
-/// before returning). The single probe primitive shared by the
-/// sequential loop and every pool worker.
+/// before returning).
 fn probe_on(
     pdag: &PhysicalDag,
     state: &mut CostState,
@@ -256,8 +200,10 @@ fn commit_on(
 }
 
 /// Builds the candidate pool: `(physical node, degree of sharing)` pairs,
-/// in topological group order, variants in `pdag` order. Also records the
-/// `sharable`/`candidates` counters.
+/// in topological group order, variants in `pdag` order. Warm nodes are
+/// already materialized — a given, not a candidate — so they are left
+/// out, and the `candidates` counter is the pool Greedy actually probes.
+/// Also records the `sharable` counter.
 fn collect_candidates(
     ctx: &OptContext<'_>,
     opts: GreedyOptions,
@@ -289,7 +235,9 @@ fn collect_candidates(
     let mut candidates: Vec<(PhysNodeId, f64)> = Vec::new();
     for &(g, d) in &degrees {
         for &v in pdag.variants(g) {
-            if !opts.sorted_candidates && !matches!(pdag.node(v).prop, mqo_physical::PhysProp::Any)
+            if ctx.warm.contains(v)
+                || (!opts.sorted_candidates
+                    && !matches!(pdag.node(v).prop, mqo_physical::PhysProp::Any))
             {
                 continue;
             }
@@ -310,88 +258,20 @@ fn charged_blocks(pdag: &PhysicalDag, n: PhysNodeId) -> f64 {
 }
 
 /// Runs the greedy heuristic: iteratively materialize the candidate node
-/// with the largest benefit until no candidate improves the plan.
-/// Probing parallelizes across [`GreedyOptions::threads`] workers; the
-/// result is identical at every thread count. An expired
-/// [`GreedyOptions::deadline`] ends the search early with the
+/// with the largest benefit until no candidate improves the plan. An
+/// expired [`GreedyOptions::deadline`] ends the search early with the
 /// best-so-far set and `stats.degraded` set — not an error.
 ///
 /// # Errors
 ///
 /// Returns an [`MqoError`] only on injected faults (`mqo-chaos` seams
-/// `cost-propagation`, `pool-send`, `extract`).
+/// `cost-propagation`, `extract`).
 pub fn greedy(ctx: &OptContext<'_>, opts: GreedyOptions) -> Result<Optimized, MqoError> {
-    let mut stats = OptStats::default();
-    let mut candidates = collect_candidates(ctx, opts, &mut stats);
-    // Warm nodes are already materialized — not candidates, a given.
-    candidates.retain(|&(n, _)| !ctx.warm.contains(n));
-    let threads = mqo_util::resolve_threads(opts.threads).min(candidates.len().max(1));
-    // The starting cost table — warm temps pre-materialized, computed
-    // once; the primary state and every worker replica start from
-    // (clones of) this one rather than each redoing the full bottom-up
-    // computation.
-    let base = CostState::seeded(&ctx.pdag, &ctx.warm);
-    if threads <= 1 {
-        return greedy_sequential(ctx, opts, candidates, stats, base);
-    }
-    std::thread::scope(|scope| {
-        let pdag = &ctx.pdag;
-        let pool: ScopedWorkerPool<ProbeJob, WaveOut> = ScopedWorkerPool::spawn(scope, threads, {
-            let base = &base;
-            move |_| {
-                let mut replica = base.clone();
-                move |job| match job {
-                    ProbeJob::Wave {
-                        base,
-                        nodes,
-                        cur_total,
-                    } => {
-                        let mut stats = OptStats::default();
-                        let benefits = nodes
-                            .iter()
-                            .map(|&n| {
-                                probe_on(
-                                    pdag,
-                                    &mut replica,
-                                    &mut stats,
-                                    cur_total,
-                                    n,
-                                    opts.use_incremental,
-                                )
-                            })
-                            .collect();
-                        Some(WaveOut {
-                            base,
-                            benefits,
-                            stats,
-                        })
-                    }
-                    ProbeJob::Commit(n) => {
-                        // Replica sync; the primary's commit already
-                        // counted the propagation work, so this replay is
-                        // deliberately not merged into the run's stats.
-                        let mut scratch = OptStats::default();
-                        commit_on(pdag, &mut replica, &mut scratch, n, opts.use_incremental);
-                        None
-                    }
-                }
-            }
-        });
-        greedy_parallel(ctx, opts, candidates, stats, &pool, base)
-    })
-}
-
-/// The sequential loops — also the `threads = 1` reference the parallel
-/// path must match bit-for-bit.
-fn greedy_sequential(
-    ctx: &OptContext<'_>,
-    opts: GreedyOptions,
-    candidates: Vec<(PhysNodeId, f64)>,
-    mut stats: OptStats,
-    state: CostState,
-) -> Result<Optimized, MqoError> {
     let pdag = &ctx.pdag;
-    let mut state = state;
+    let mut stats = OptStats::default();
+    let candidates = collect_candidates(ctx, opts, &mut stats);
+    // The starting cost table: warm temps pre-materialized.
+    let mut state = CostState::seeded(pdag, &ctx.warm);
     let mut cur_total = state.total(pdag);
     let mut space_used = 0.0f64;
     // score used for ranking: plain benefit, or benefit per (charged)
@@ -417,6 +297,7 @@ fn greedy_sequential(
             .iter()
             .filter(|&&(n, _)| fits(space_used, n))
             .map(|&(n, d)| HeapEntry {
+                // mqo-analyze: allow(panic-path): candidates are nodes of `ctx.pdag`, whose node count sizes the table
                 bound: score(state.table.node_cost[n.index()].secs() * d, n),
                 node: n,
             })
@@ -510,193 +391,6 @@ fn greedy_sequential(
     finish(ctx, state, stats)
 }
 
-/// The parallel loops: same decisions as [`greedy_sequential`], with
-/// probes sharded across the worker pool.
-fn greedy_parallel(
-    ctx: &OptContext<'_>,
-    opts: GreedyOptions,
-    candidates: Vec<(PhysNodeId, f64)>,
-    mut stats: OptStats,
-    pool: &ScopedWorkerPool<ProbeJob, WaveOut>,
-    state: CostState,
-) -> Result<Optimized, MqoError> {
-    let pdag = &ctx.pdag;
-    let mut state = state;
-    let mut cur_total = state.total(pdag);
-    let mut space_used = 0.0f64;
-    let score = |benefit: f64, n: PhysNodeId| -> f64 {
-        match opts.space_budget_blocks {
-            Some(_) => benefit / charged_blocks(pdag, n),
-            None => benefit,
-        }
-    };
-    let fits = |space_used: f64, n: PhysNodeId| -> bool {
-        match opts.space_budget_blocks {
-            Some(b) => space_used + charged_blocks(pdag, n) <= b + EPS,
-            None => true,
-        }
-    };
-
-    // Probes one wave of nodes across the pool: contiguous shards, raw
-    // benefits back in input order, worker counters merged exactly once.
-    let wave = |stats: &mut OptStats, nodes: &[PhysNodeId], cur_total: Cost| -> Vec<f64> {
-        if nodes.is_empty() {
-            return Vec::new();
-        }
-        let shard = nodes.len().div_ceil(pool.len());
-        let mut sent = 0;
-        for (w, slice) in nodes.chunks(shard).enumerate() {
-            pool.send(
-                w,
-                ProbeJob::Wave {
-                    base: w * shard,
-                    nodes: slice.to_vec(),
-                    cur_total,
-                },
-            );
-            sent += 1;
-        }
-        let mut out = vec![0.0f64; nodes.len()];
-        for _ in 0..sent {
-            let resp = pool.recv();
-            out[resp.base..resp.base + resp.benefits.len()].copy_from_slice(&resp.benefits);
-            stats.merge_counters(&resp.stats);
-        }
-        out
-    };
-    // Commits on the primary (counted) and broadcasts to replicas (their
-    // replay is bookkeeping, not counted — see the module docs).
-    let commit_all = |state: &mut CostState, stats: &mut OptStats, n: PhysNodeId| {
-        commit_on(pdag, state, stats, n, opts.use_incremental);
-        pool.broadcast(&ProbeJob::Commit(n));
-    };
-
-    if opts.use_monotonicity {
-        // §4.3 with wave probing: replay the sequential pop/probe/
-        // reinsert decisions, but satisfy probes from a cache filled by
-        // parallel waves over the top-K stale bounds. Benefits depend
-        // only on (materialized set, node), and the heap's strict total
-        // order makes pop order a function of its contents, so the
-        // decisions — and the chosen set — are exactly the sequential
-        // ones.
-        let wave_cap = pool.len() * 2;
-        let mut heap: BinaryHeap<HeapEntry> = candidates
-            .iter()
-            .filter(|&&(n, _)| fits(space_used, n))
-            .map(|&(n, d)| HeapEntry {
-                bound: score(state.table.node_cost[n.index()].secs() * d, n),
-                node: n,
-            })
-            .collect();
-        // scored fresh benefits under the current materialized set
-        let mut cache: FxHashMap<PhysNodeId, f64> = FxHashMap::default();
-        while let Some(top) = heap.pop() {
-            if deadline_expired(opts.deadline) {
-                stats.degraded = true;
-                break; // anytime search: keep the set committed so far
-            }
-            mqo_chaos::hit(Seam::CostPropagation)?;
-            if top.bound.is_nan() {
-                continue; // degenerate bound: discard the candidate
-            }
-            if top.bound <= EPS {
-                break;
-            }
-            if !fits(space_used, top.node) {
-                continue;
-            }
-            let b = match cache.get(&top.node) {
-                Some(&b) => b,
-                None => {
-                    // Fill the cache with one wave over the top-K stale
-                    // entries, then retry. Everything popped goes back
-                    // unchanged, so the heap — and the replayed decision
-                    // sequence — is exactly as before the wave.
-                    heap.push(top);
-                    let mut collected: Vec<HeapEntry> = Vec::new();
-                    let mut to_probe: Vec<PhysNodeId> = Vec::new();
-                    while collected.len() < wave_cap {
-                        match heap.peek() {
-                            Some(e) if e.bound > EPS => {}
-                            _ => break,
-                        }
-                        // mqo-analyze: allow(panic-path): the peek in the loop guard just proved the heap non-empty
-                        let e = heap.pop().expect("peeked entry");
-                        if fits(space_used, e.node) && !cache.contains_key(&e.node) {
-                            to_probe.push(e.node);
-                        }
-                        collected.push(e);
-                    }
-                    for e in collected {
-                        heap.push(e);
-                    }
-                    mqo_chaos::hit(Seam::PoolSend)?;
-                    let benefits = wave(&mut stats, &to_probe, cur_total);
-                    for (k, &n) in to_probe.iter().enumerate() {
-                        cache.insert(n, score(benefits[k], n));
-                    }
-                    continue;
-                }
-            };
-            let next_bound = heap.peek().map(|e| e.bound).unwrap_or(f64::NEG_INFINITY);
-            if b >= next_bound - 1e-12 {
-                if b > EPS {
-                    commit_all(&mut state, &mut stats, top.node);
-                    space_used += charged_blocks(pdag, top.node);
-                    cur_total = state.total(pdag);
-                    cache.clear(); // benefits are stale under the new set
-                } else {
-                    break;
-                }
-            } else {
-                heap.push(HeapEntry {
-                    bound: b,
-                    node: top.node,
-                });
-            }
-        }
-    } else {
-        // Ablation baseline: every remaining candidate probed per round —
-        // one full parallel wave per round, then the sequential selection
-        // rule over the merged benefits.
-        let mut remaining = candidates;
-        loop {
-            if deadline_expired(opts.deadline) {
-                stats.degraded = true;
-                break;
-            }
-            mqo_chaos::hit(Seam::CostPropagation)?;
-            let fitting: Vec<(usize, PhysNodeId)> = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(n, _))| fits(space_used, n))
-                .map(|(i, &(n, _))| (i, n))
-                .collect();
-            let nodes: Vec<PhysNodeId> = fitting.iter().map(|&(_, n)| n).collect();
-            mqo_chaos::hit(Seam::PoolSend)?;
-            let benefits = wave(&mut stats, &nodes, cur_total);
-            let mut best: Option<(usize, f64)> = None;
-            for (k, &(i, n)) in fitting.iter().enumerate() {
-                let b = score(benefits[k], n);
-                if b > best.map(|(_, bb)| bb).unwrap_or(0.0) {
-                    best = Some((i, b));
-                }
-            }
-            match best {
-                Some((i, b)) if b > EPS => {
-                    let (n, _) = remaining.swap_remove(i);
-                    commit_all(&mut state, &mut stats, n);
-                    space_used += charged_blocks(pdag, n);
-                    cur_total = state.total(pdag);
-                }
-                _ => break,
-            }
-        }
-    }
-
-    finish(ctx, state, stats)
-}
-
 /// Extracts the final plan from the converged state.
 fn finish(
     ctx: &OptContext<'_>,
@@ -759,7 +453,7 @@ mod tests {
     }
 
     /// Replays the §4.3 pop/probe/reinsert loop (exactly the rules of
-    /// the real loops: NaN bounds are discarded on pop, non-positive
+    /// the real loop: NaN bounds are discarded on pop, non-positive
     /// bounds end the search) with a candidate whose probe yields NaN.
     /// The loop must terminate and still commit the genuine candidates
     /// in benefit order — under the old `partial_cmp` ordering the NaN

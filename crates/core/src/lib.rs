@@ -115,13 +115,6 @@ pub struct Options {
     pub params: CostParams,
     /// Greedy-specific options (ablation switches of §6.3).
     pub greedy: GreedyOptions,
-    /// Worker threads for parallel work — benefit probing inside the
-    /// search strategies and [`Optimizer::search_all_parallel`]. `1`
-    /// forces the sequential paths; `0` (the default) means *auto*: the
-    /// `MQO_THREADS` environment variable if set, otherwise the
-    /// machine's available parallelism. Search results are identical at
-    /// every thread count.
-    pub threads: usize,
     /// How much IR verification runs at pipeline stage boundaries
     /// (`mqo-verify`). Defaults to the `MQO_VERIFY` environment variable:
     /// `Boundaries` under `debug_assertions`, `Off` in release builds.
@@ -156,15 +149,6 @@ impl Options {
     /// Replaces the greedy ablation switches.
     pub fn with_greedy(mut self, greedy: GreedyOptions) -> Self {
         self.greedy = greedy;
-        self
-    }
-
-    /// Sets the worker-thread count (`0` = auto, `1` = sequential) for
-    /// both the session ([`Optimizer::search_all_parallel`]) and the
-    /// greedy probe loops ([`GreedyOptions::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self.greedy.threads = threads;
         self
     }
 
@@ -214,8 +198,8 @@ pub struct OptStats {
     /// here, mislabeling the stat).
     pub sharable: usize,
     /// Size of the physical candidate pool the strategy actually probed
-    /// (one entry per physical variant; grows when the sharability
-    /// pre-filter is disabled).
+    /// (one entry per physical variant, warm nodes excluded; grows when
+    /// the sharability pre-filter is disabled).
     pub candidates: usize,
     /// Greedy: number of benefit (re)computations — each triggers one
     /// incremental cost recomputation (paper Figure 10, right).
@@ -246,15 +230,6 @@ impl OptStats {
     #[must_use]
     pub fn total_time_secs(&self) -> f64 {
         self.dag_time_secs + self.search_time_secs
-    }
-
-    /// Folds the work counters of a parallel worker's stats delta into
-    /// this one. Only the additive counters merge — timings and sizes
-    /// are stamped once by the session, and a probe worker's replica
-    /// bookkeeping must not double-count them.
-    pub fn merge_counters(&mut self, other: &OptStats) {
-        self.benefit_recomputations += other.benefit_recomputations;
-        self.cost_propagations += other.cost_propagations;
     }
 }
 

@@ -89,7 +89,7 @@ impl<'a> Optimizer<'a> {
     }
 
     /// A session over a caller-curated [`Registry`] — e.g. a trimmed set
-    /// for [`Optimizer::search_all_parallel`], where an expensive oracle
+    /// for a loop over [`Optimizer::registry`], where an expensive oracle
     /// strategy would dominate the batch.
     #[must_use]
     pub fn with_registry(catalog: &'a Catalog, options: Options, registry: Registry) -> Self {
@@ -240,57 +240,6 @@ impl<'a> Optimizer<'a> {
         )
         .assert_clean(&format!("search ({})", strategy.name()));
         Ok(result)
-    }
-
-    /// Stage 3, fanned out: searches a prepared context with **every**
-    /// registered strategy concurrently, one scoped thread per strategy
-    /// (the [`Strategy`] contract — `Send + Sync`, batch state in the
-    /// shared read-only context — is what makes this safe). Results come
-    /// back in registration order with each strategy's name, exactly as
-    /// the sequential `search` calls would produce them; when
-    /// [`Options::threads`] resolves to `1`, the searches simply run in
-    /// sequence.
-    ///
-    /// Per-strategy search timings measure wall-clock while sharing the
-    /// machine, so they are only comparable *within* a run at low
-    /// contention; prefer sequential `search` calls for timing tables.
-    ///
-    /// # Errors
-    ///
-    /// If any strategy's search fails, the first failure in
-    /// registration order is returned (the others' results are
-    /// discarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a strategy's search thread panicked.
-    pub fn search_all_parallel(
-        &self,
-        ctx: &OptContext<'_>,
-    ) -> Result<Vec<(String, Optimized)>, MqoError> {
-        if mqo_util::resolve_threads(self.options.threads) <= 1 || self.registry.len() <= 1 {
-            return self
-                .registry
-                .iter()
-                .map(|s| Ok((s.name().to_string(), self.search_with(ctx, s.as_ref())?)))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .registry
-                .iter()
-                .map(|s| {
-                    scope.spawn(move || (s.name().to_string(), self.search_with(ctx, s.as_ref())))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (name, result) = h.join().expect("strategy search panicked");
-                    Ok((name, result?))
-                })
-                .collect()
-        })
     }
 
     /// Stage 4: re-derives the executable shared plan for an arbitrary

@@ -126,66 +126,37 @@ impl CostState {
         self.table = CostTable::compute(pdag, &self.mat);
     }
 
-    /// Total-cost reduction from *removing* each of `nodes` (each probe
-    /// restores the set), sharded across `threads` scoped workers that
-    /// probe replicas cloned from `self`. A probe is a pure function of
-    /// the materialized set and the node, so the gains — and, because
-    /// replicas start from the same state, the merged
-    /// `benefit_recomputations`/`cost_propagations` counters — are
-    /// identical at every thread count. Used by descent passes (e.g. the
-    /// KS15 strategy's pruning step) that repeatedly ask "which member
-    /// is now deadweight?".
+    /// Total-cost reduction from *removing* each of `nodes`, probed in
+    /// place: remove, read the total, re-add. Used by descent passes
+    /// (e.g. the KS15 strategy's pruning step) that repeatedly ask
+    /// "which member is now deadweight?".
     ///
-    /// # Panics
-    ///
-    /// Panics if a removal-gain probe worker thread panicked.
-    pub fn removal_gains_parallel(
-        &self,
+    /// The re-add restores the set as it was, not just its members: a
+    /// plain [`MatSet::insert`] would put the node at the back of its
+    /// group's [`MatSet::variants_of`] list, the list reuse picks its
+    /// source from, and a later probe would see a different state. So
+    /// every gain is the one a throwaway clone would report, and the
+    /// state ends bit-identical to how it started.
+    // mqo-analyze: allow(mut-self-entry): mutates only the caller's search-local state, like `add_mat`/`remove_mat`
+    pub fn removal_gains(
+        &mut self,
         pdag: &PhysicalDag,
         nodes: &[PhysNodeId],
-        threads: usize,
         stats: &mut OptStats,
     ) -> Vec<f64> {
         let before = self.total(pdag);
-        let probe_shard = |replica: &mut CostState, stats: &mut OptStats, shard: &[PhysNodeId]| {
-            shard
-                .iter()
-                .map(|&n| {
-                    stats.benefit_recomputations += 1;
-                    replica.remove_mat(pdag, n, stats);
-                    let after = replica.total(pdag);
-                    replica.add_mat(pdag, n, stats);
-                    (before - after).secs()
-                })
-                .collect::<Vec<f64>>()
-        };
-        let threads = threads.clamp(1, nodes.len().max(1));
-        if threads <= 1 {
-            let mut replica = self.clone();
-            return probe_shard(&mut replica, stats, nodes);
-        }
-        let shard = nodes.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .chunks(shard)
-                .map(|slice| {
-                    let probe_shard = &probe_shard;
-                    scope.spawn(move || {
-                        let mut replica = self.clone();
-                        let mut local = OptStats::default();
-                        let gains = probe_shard(&mut replica, &mut local, slice);
-                        (gains, local)
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(nodes.len());
-            for h in handles {
-                let (gains, local) = h.join().expect("removal-gain probe worker panicked");
-                out.extend(gains);
-                stats.merge_counters(&local);
-            }
-            out
-        })
+        let mat = self.mat.clone();
+        nodes
+            .iter()
+            .map(|&n| {
+                stats.benefit_recomputations += 1;
+                self.remove_mat(pdag, n, stats);
+                let after = self.total(pdag);
+                self.mat.clone_from(&mat);
+                self.propagate(pdag, n, stats);
+                (before - after).secs()
+            })
+            .collect()
     }
 }
 
@@ -303,6 +274,59 @@ mod tests {
         assert_eq!(state.total(&pdag), total_before);
         for (i, c) in state.table.node_cost.iter().enumerate() {
             assert_eq!(*c, before[i], "node {i}");
+        }
+    }
+
+    /// `removal_gains` probes in place: afterwards every node and op
+    /// cost, every best op and the materialized set (per-group variant
+    /// order included) are bit-identical to before, and each gain is the
+    /// one a throwaway clone of the starting state reports — also when
+    /// the probe order is not the insertion order.
+    #[test]
+    fn removal_gains_restore_the_state_and_match_fresh_probes() {
+        let (_cat, dag, pdag) = context();
+        let mut stats = OptStats::default();
+        let mut state = CostState::new(&pdag);
+        let mut members: Vec<PhysNodeId> = Vec::new();
+        for (g, _) in mqo_dag::sharable_groups(&dag) {
+            members.extend(pdag.variants(g).iter().copied());
+        }
+        members.sort();
+        for &n in &members {
+            state.add_mat(&pdag, n, &mut stats);
+        }
+        assert!(
+            members
+                .iter()
+                .any(|&n| state.mat.variants_of(pdag.node(n).group).len() > 1),
+            "the fixture should materialize several variants of one group"
+        );
+        let start = state.clone();
+        let variant_lists = |s: &CostState| -> Vec<Vec<PhysNodeId>> {
+            members
+                .iter()
+                .map(|&n| s.mat.variants_of(pdag.node(n).group).to_vec())
+                .collect()
+        };
+        let bits =
+            |costs: &[Cost]| -> Vec<u64> { costs.iter().map(|c| c.secs().to_bits()).collect() };
+
+        let probes: Vec<PhysNodeId> = members.iter().rev().copied().collect();
+        let gains = state.removal_gains(&pdag, &probes, &mut stats);
+
+        assert_eq!(bits(&state.table.node_cost), bits(&start.table.node_cost));
+        assert_eq!(bits(&state.table.op_cost), bits(&start.table.op_cost));
+        assert_eq!(state.table.best_op, start.table.best_op);
+        assert_eq!(
+            state.mat.iter().collect::<Vec<_>>(),
+            start.mat.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(variant_lists(&state), variant_lists(&start));
+        for (k, &n) in probes.iter().enumerate() {
+            let mut fresh = start.clone();
+            fresh.remove_mat(&pdag, n, &mut OptStats::default());
+            let want = (start.total(&pdag) - fresh.total(&pdag)).secs();
+            assert_eq!(gains[k].to_bits(), want.to_bits(), "gain of {n}");
         }
     }
 

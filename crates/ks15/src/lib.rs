@@ -46,15 +46,9 @@
 //! exactly like the built-in greedy's, so Figure-10-style comparisons
 //! hold across the two.
 //!
-//! The descent pass re-probes every member per round, which is exactly
-//! the shape `mqo-core`'s parallel benefit probing accelerates: the
-//! removal gains of one round are independent, so
-//! [`CostState::removal_gains_parallel`] shards them across replicas.
-//! KS15 inherits its thread count through
-//! [`GreedyOptions`](mqo_core::GreedyOptions) (falling back to
-//! [`Options::threads`]); the chosen set is identical at every thread
-//! count — members are probed under one fixed state per round and the
-//! argmax is tie-broken by node id, never by probe timing.
+//! The descent pass re-probes every member per round with
+//! [`CostState::removal_gains`], in place and in node-id order, and
+//! breaks argmax ties by node id, so the chosen set is deterministic.
 
 use mqo_chaos::Seam;
 use mqo_core::{deadline_expired, CostState, OptContext, OptStats, Optimized, Options, Strategy};
@@ -92,13 +86,6 @@ impl Strategy for Ks15Greedy {
         let pdag = &ctx.pdag;
         let deadline = options.greedy.deadline.or(options.deadline);
         let mut stats = OptStats::default();
-        // Probe-thread count: the greedy-specific setting wins, then the
-        // session-wide one, then auto (MQO_THREADS / machine).
-        let threads = mqo_util::resolve_threads(if options.greedy.threads != 0 {
-            options.greedy.threads
-        } else {
-            options.threads
-        });
 
         // Candidate pool: every physical variant of every sharable,
         // non-parameterized group (`sharable_groups` already excludes
@@ -157,10 +144,9 @@ impl Strategy for Ks15Greedy {
         }
 
         // Descent pass: steepest single-removal descent. Each round
-        // probes every member's removal gain in one (parallel) wave under
-        // the current state, then drops the best improving member —
-        // deterministic at every thread count: node-id order fixes both
-        // the wave order and the argmax tie-break.
+        // probes every member's removal gain under the current state,
+        // then drops the best improving member; node-id order fixes both
+        // the probe order and the argmax tie-break.
         loop {
             if deadline_expired(deadline) {
                 stats.degraded = true;
@@ -174,8 +160,8 @@ impl Strategy for Ks15Greedy {
                 break;
             }
             members.sort();
-            mqo_chaos::hit(Seam::PoolSend)?;
-            let gains = x.removal_gains_parallel(pdag, &members, threads, &mut stats);
+            mqo_chaos::hit(Seam::CostPropagation)?;
+            let gains = x.removal_gains(pdag, &members, &mut stats);
             let mut best: Option<(PhysNodeId, f64)> = None;
             for (k, &n) in members.iter().enumerate() {
                 if gains[k] > EPS && gains[k] > best.map(|(_, g)| g).unwrap_or(EPS) {

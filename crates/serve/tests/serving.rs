@@ -146,8 +146,7 @@ fn front(former: FormerConfig) -> ServeFront {
 /// THE acceptance test: N concurrent tenants with interleaved
 /// overlapping jobs get results **bit-identical** to a serial solo
 /// session, even though the former coalesces their queries into shared
-/// MQO batches against an evolving warm cache. (The CI matrix runs this
-/// whole suite at `MQO_THREADS` 1 and 4.)
+/// MQO batches against an evolving warm cache.
 #[test]
 fn concurrent_tenants_bit_identical_to_serial_session() {
     let reference = serial_reference();

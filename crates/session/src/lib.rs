@@ -41,8 +41,8 @@
 //!    fingerprinting and search ([`BatchResult::plan_reused`]).
 //!
 //! Everything stays deterministic: the same batch stream produces
-//! identical plans, costs, and hit/evict sequences at every thread count
-//! and execution batch size, reused plans or not. [`Optimizer`] and
+//! identical plans, costs, and hit/evict sequences at every execution
+//! batch size, reused plans or not. [`Optimizer`] and
 //! [`execute_plan_with`](mqo_exec::execute_plan_with) remain the
 //! documented single-batch path (multi-strategy comparisons, figure
 //! binaries); the session is the serving path.
@@ -77,7 +77,7 @@ pub const DEFAULT_MV_BUDGET_BYTES: usize = 256 << 20;
 #[must_use = "SessionOptions is a builder: chain `with_*` calls and pass it to MqoSession::new"]
 pub struct SessionOptions {
     /// Optimizer options (DAG config, cost params, greedy switches,
-    /// threads) applied to every submit.
+    /// verification) applied to every submit.
     pub opt: Options,
     /// Registry name of the strategy each submit searches with.
     /// Defaults to `"Greedy"`; `"KS15-Greedy"` is pre-registered too.
@@ -187,13 +187,6 @@ impl SessionOptions {
     /// Sets the materialized-view byte budget (`0` disables caching).
     pub fn with_mv_budget_bytes(mut self, bytes: usize) -> Self {
         self.mv_budget_bytes = bytes;
-        self
-    }
-
-    /// Sets the worker-thread count for the search (`0` = auto, `1` =
-    /// sequential); results are identical at every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.opt = self.opt.with_threads(threads);
         self
     }
 

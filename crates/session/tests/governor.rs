@@ -5,8 +5,8 @@
 //!   first checkpoint (committing the empty, Volcano-quality
 //!   materialization set) and the already-expired deadline is dropped
 //!   before execution — so every query still answers, exactly.
-//! * Degradation under a zero budget is wall-clock-free, so the whole
-//!   governed stream must be bit-identical at 1 and 4 worker threads.
+//! * Degradation under a zero budget is wall-clock-free, so the same
+//!   governed stream, run twice, must be bit-identical.
 //! * A tiny memory budget aborts the queries that trip it (empty
 //!   placeholder result + recorded error) but never the batch or the
 //!   session.
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 const SCALE: f64 = 0.002;
 
-fn session_with(threads: usize, time_budget: Option<Duration>, mem: Option<usize>) -> MqoSession {
+fn session_with(time_budget: Option<Duration>, mem: Option<usize>) -> MqoSession {
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, 42, usize::MAX);
     let exec = ExecOptions {
@@ -28,17 +28,16 @@ fn session_with(threads: usize, time_budget: Option<Duration>, mem: Option<usize
     };
     let opts = SessionOptions::new()
         .with_opt(Options::new().with_verify(VerifyLevel::Full))
-        .with_threads(threads)
         .with_exec(exec)
         .with_time_budget(time_budget)
         .with_mem_budget(mem);
     MqoSession::new(w.catalog, db, opts)
 }
 
-fn run_stream(threads: usize, time_budget: Option<Duration>) -> Vec<BatchResult> {
+fn run_stream(time_budget: Option<Duration>) -> Vec<BatchResult> {
     let w = Tpcd::new(SCALE);
     let batches = w.serving_batches(3);
-    let mut s = session_with(threads, time_budget, None);
+    let mut s = session_with(time_budget, None);
     batches
         .iter()
         .map(|b| s.submit(b).expect("budget expiry degrades, never errors"))
@@ -49,8 +48,8 @@ fn run_stream(threads: usize, time_budget: Option<Duration>) -> Vec<BatchResult>
 /// Volcano-quality cost) and every query still returns its exact rows.
 #[test]
 fn zero_time_budget_degrades_to_exact_volcano_quality_answers() {
-    let governed = run_stream(1, Some(Duration::ZERO));
-    let free = run_stream(1, None);
+    let governed = run_stream(Some(Duration::ZERO));
+    let free = run_stream(None);
     for (g, f) in governed.iter().zip(&free) {
         assert!(g.degraded, "zero budget must flag degradation");
         assert!(g.stats.degraded, "the search itself degraded");
@@ -73,14 +72,14 @@ fn zero_time_budget_degrades_to_exact_volcano_quality_answers() {
     }
 }
 
-/// Governed degradation is deterministic: a zero-budget stream is
-/// bit-identical at every worker-thread count.
+/// Governed degradation is deterministic: the same zero-budget stream,
+/// run twice, is bit-identical.
 #[test]
-fn governed_stream_is_deterministic_across_thread_counts() {
-    let one = run_stream(1, Some(Duration::ZERO));
-    let four = run_stream(4, Some(Duration::ZERO));
-    assert_eq!(one.len(), four.len());
-    for (a, b) in one.iter().zip(&four) {
+fn governed_stream_is_deterministic_across_runs() {
+    let first = run_stream(Some(Duration::ZERO));
+    let second = run_stream(Some(Duration::ZERO));
+    assert_eq!(first.len(), second.len());
+    for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.degraded, b.degraded);
         assert_eq!(a.temps_built, b.temps_built);
@@ -99,7 +98,7 @@ fn governed_stream_is_deterministic_across_thread_counts() {
 fn tiny_mem_budget_aborts_queries_not_the_batch() {
     let w = Tpcd::new(SCALE);
     let batches = w.serving_batches(1);
-    let mut s = session_with(1, None, Some(1));
+    let mut s = session_with(None, Some(1));
     let r = s
         .submit(&batches[0])
         .expect("mem exhaustion degrades, never errors");

@@ -57,8 +57,7 @@ fn a_stored_plan_is_a_slice_not_the_dag() {
     let w = Tpcd::new(0.002);
     let db = generate_database(&w.catalog, 42, usize::MAX);
     let batch = Batch::of(w.q11().queries.into_iter().chain(w.q15().queries).collect());
-    // One search thread: no pool state to grow between submits.
-    let mut session = MqoSession::new(w.catalog, db, SessionOptions::new().with_threads(1));
+    let mut session = MqoSession::new(w.catalog, db, SessionOptions::new());
     // Cold: builds and admits the shared temps; remembers the key.
     session.submit(&batch).expect("cold submit");
     // Warm, second sighting: reads only warm temps, stores the plan.

@@ -7,12 +7,12 @@
 //!   identical to the cold run's.
 //! * The whole batch stream must be **deterministic**: the same stream
 //!   produces identical plans, costs, and cache hit/evict counts at
-//!   every worker-thread count and execution batch size.
+//!   every execution batch size.
 
 use mqo_core::{Options, VerifyLevel};
 use mqo_exec::{generate_database, normalize_result, results_approx_equal, ExecMode, ExecOptions};
 use mqo_expr::{ParamId, Value};
-use mqo_session::{BatchResult, MqoSession, SessionOptions};
+use mqo_session::{BatchResult, MqoSession, SessionCore, SessionOptions};
 use mqo_util::{ErrorStage, FxHashMap, MqoErrorKind};
 use mqo_workloads::Tpcd;
 
@@ -25,7 +25,7 @@ fn verified() -> SessionOptions {
     SessionOptions::new().with_opt(Options::new().with_verify(VerifyLevel::Full))
 }
 
-fn serving_session(threads: usize, batch_rows: usize) -> MqoSession {
+fn serving_session(batch_rows: usize) -> MqoSession {
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, 42, usize::MAX);
     let exec = ExecOptions {
@@ -33,18 +33,14 @@ fn serving_session(threads: usize, batch_rows: usize) -> MqoSession {
         batch_rows,
         ..ExecOptions::default()
     };
-    MqoSession::new(
-        w.catalog,
-        db,
-        verified().with_threads(threads).with_exec(exec),
-    )
+    MqoSession::new(w.catalog, db, verified().with_exec(exec))
 }
 
 /// One run of the serving stream; returns per-batch observables.
-fn run_stream(threads: usize, batch_rows: usize, rounds: usize) -> Vec<BatchResult> {
+fn run_stream(batch_rows: usize, rounds: usize) -> Vec<BatchResult> {
     let w = Tpcd::new(SCALE);
     let batches = w.serving_batches(rounds);
-    let mut session = serving_session(threads, batch_rows);
+    let mut session = serving_session(batch_rows);
     batches
         .iter()
         .map(|b| session.submit(b).expect("Greedy is registered"))
@@ -97,7 +93,7 @@ fn warm_resubmit_is_cheaper_and_identical() {
 /// shared pair from the cache.
 #[test]
 fn overlapping_stream_hits_across_batches() {
-    let results = run_stream(1, mqo_exec::DEFAULT_BATCH_ROWS, 4);
+    let results = run_stream(mqo_exec::DEFAULT_BATCH_ROWS, 4);
     let later_hits: usize = results[1..].iter().map(|r| r.cache_hits).sum();
     assert!(
         later_hits > 0,
@@ -106,7 +102,7 @@ fn overlapping_stream_hits_across_batches() {
     // estimated optimizer cost of a warm batch never exceeds what the
     // same session would pay cold: batch 5 repeats batch 0's window
     // (i mod 5 wraps), so compare the wrapped round trip
-    let wrapped = run_stream(1, mqo_exec::DEFAULT_BATCH_ROWS, 6);
+    let wrapped = run_stream(mqo_exec::DEFAULT_BATCH_ROWS, 6);
     assert!(
         wrapped[5].cost <= wrapped[0].cost,
         "wrapped window must be no more expensive warm ({} > {})",
@@ -116,40 +112,38 @@ fn overlapping_stream_hits_across_batches() {
 }
 
 /// The determinism contract: the same batch stream yields bit-identical
-/// costs and identical cache behaviour at worker threads {1, 4} and
-/// execution batch sizes {1, default}.
+/// costs and identical cache behaviour at execution batch sizes
+/// {1, default}.
 #[test]
-fn stream_is_deterministic_across_threads_and_batch_rows() {
+fn stream_is_deterministic_across_batch_rows() {
     let rounds = 3;
-    let reference = run_stream(1, mqo_exec::DEFAULT_BATCH_ROWS, rounds);
-    for (threads, batch_rows) in [(4, mqo_exec::DEFAULT_BATCH_ROWS), (1, 1), (4, 1)] {
-        let other = run_stream(threads, batch_rows, rounds);
-        for (i, (a, b)) in reference.iter().zip(other.iter()).enumerate() {
+    let reference = run_stream(mqo_exec::DEFAULT_BATCH_ROWS, rounds);
+    let other = run_stream(1, rounds);
+    for (i, (a, b)) in reference.iter().zip(other.iter()).enumerate() {
+        assert_eq!(
+            a.cost.secs().to_bits(),
+            b.cost.secs().to_bits(),
+            "batch {i} cost differs at batch_rows=1"
+        );
+        assert_eq!(a.cache_hits, b.cache_hits, "batch {i} hit count differs");
+        assert_eq!(a.temps_built, b.temps_built, "batch {i} temps differ");
+        assert_eq!(a.admitted, b.admitted, "batch {i} admissions differ");
+        assert_eq!(a.evicted, b.evicted, "batch {i} evictions differ");
+        assert_eq!(a.rows_out, b.rows_out, "batch {i} row count differs");
+        assert_eq!(
+            a.stats.materialized, b.stats.materialized,
+            "batch {i} plan (materialized set size) differs"
+        );
+        assert_eq!(
+            a.stats.warm_reused, b.stats.warm_reused,
+            "batch {i} plan (warm reuse count) differs"
+        );
+        for (x, y) in a.results.iter().zip(b.results.iter()) {
             assert_eq!(
-                a.cost.secs().to_bits(),
-                b.cost.secs().to_bits(),
-                "batch {i} cost differs at threads={threads} batch_rows={batch_rows}"
+                normalize_result(x),
+                normalize_result(y),
+                "batch {i} results differ bit-for-bit"
             );
-            assert_eq!(a.cache_hits, b.cache_hits, "batch {i} hit count differs");
-            assert_eq!(a.temps_built, b.temps_built, "batch {i} temps differ");
-            assert_eq!(a.admitted, b.admitted, "batch {i} admissions differ");
-            assert_eq!(a.evicted, b.evicted, "batch {i} evictions differ");
-            assert_eq!(a.rows_out, b.rows_out, "batch {i} row count differs");
-            assert_eq!(
-                a.stats.materialized, b.stats.materialized,
-                "batch {i} plan (materialized set size) differs"
-            );
-            assert_eq!(
-                a.stats.warm_reused, b.stats.warm_reused,
-                "batch {i} plan (warm reuse count) differs"
-            );
-            for (x, y) in a.results.iter().zip(b.results.iter()) {
-                assert_eq!(
-                    normalize_result(x),
-                    normalize_result(y),
-                    "batch {i} results differ bit-for-bit"
-                );
-            }
         }
     }
 }
@@ -212,6 +206,36 @@ fn ks15_strategy_also_serves_warm() {
     assert!(cold.temps_built > 0);
     assert!(warm.cache_hits > 0, "KS15 must reuse the warm cache");
     assert!(warm.cost <= cold.cost);
+}
+
+/// `OptStats::candidates` counts the pool a strategy actually probes,
+/// so on a warm resubmit it leaves out the warm variants: Greedy and
+/// KS15 report the same count against the same warm store, and it is
+/// the cold count minus the temps the cold submit cached.
+#[test]
+fn warm_candidates_exclude_the_warm_variants() {
+    let w = Tpcd::new(SCALE);
+    let batch = w.serving_batches(1).remove(0);
+    let db = generate_database(&w.catalog, 42, usize::MAX);
+    let mut session = MqoSession::new(w.catalog, db.clone(), verified());
+    let cold = session.submit(&batch).unwrap();
+    let warm_variants = session.mv_store().len();
+    assert!(warm_variants > 0, "the cold submit cached its temps");
+    let warm = session.submit(&batch).unwrap();
+    assert!(!warm.plan_reused(), "the second sighting is searched");
+
+    let ks15 = SessionCore::new(db, verified().with_strategy("KS15-Greedy"))
+        .plan_execute(
+            session.catalog(),
+            &batch,
+            &FxHashMap::default(),
+            2,
+            session.mv_store(),
+        )
+        .unwrap()
+        .result;
+    assert_eq!(warm.stats.candidates, ks15.stats.candidates);
+    assert_eq!(warm.stats.candidates, cold.stats.candidates - warm_variants);
 }
 
 /// Unknown strategy names fail loudly, not silently cold.

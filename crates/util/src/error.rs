@@ -324,7 +324,7 @@ mod tests {
         assert!(MqoError::time_budget(ErrorStage::Execute, "q0").is_budget());
         assert!(MqoError::mem_budget("q0", 10, 5).is_budget());
         assert!(!MqoError::plan_broken("n3", "no choice").is_budget());
-        assert!(!MqoError::fault(ErrorStage::Search, "pool-send", 1).is_budget());
+        assert!(!MqoError::fault(ErrorStage::Search, "cost-propagation", 1).is_budget());
     }
 
     #[test]

@@ -3,23 +3,28 @@
 //! Keeps the rest of the workspace dependency-free: a fast FxHash-style
 //! hasher (integer keys dominate our maps), a macro for `u32` id newtypes,
 //! a union-find used by DAG unification, a compact bitset used for
-//! relation sets, a scoped worker pool used by the parallel benefit
-//! probing in `mqo-core`, and the unified recoverable error type
-//! ([`MqoError`]) the whole pipeline threads through its fallible paths.
+//! relation sets, and the unified recoverable error type ([`MqoError`])
+//! the whole pipeline threads through its fallible paths.
 
 pub mod bitset;
 pub mod error;
 pub mod fxhash;
-pub mod pool;
 pub mod sorted;
 pub mod union_find;
 
 pub use bitset::BitSet;
 pub use error::{ErrorStage, MqoError, MqoErrorKind};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use pool::{available_parallelism, resolve_threads, ScopedWorkerPool};
 pub use sorted::{into_sorted_entries, sorted_entries, sorted_items, sorted_keys};
 pub use union_find::UnionFind;
+
+/// `std::thread::available_parallelism()` with a fallback of 1.
+#[must_use]
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 /// Declares a `u32`-backed id newtype with `index()`/`from(usize)` helpers.
 ///

@@ -4,16 +4,14 @@
 //! the session through the public `Strategy` registry rather than any
 //! built-in dispatch.
 //!
-//! This example also shows the session's parallel side: a curated
-//! registry (`Optimizer::with_registry`, dropping the slow Exhaustive
-//! oracle) searched by every strategy concurrently over one shared DAG
-//! (`Optimizer::search_all_parallel`), with the greedy probe loops
-//! themselves parallelized under `Options::threads`. Results are
-//! identical at any thread count.
+//! It also shows the staged session API over a curated registry
+//! (`Optimizer::with_registry`, dropping the slow Exhaustive oracle): the
+//! batch's DAG is prepared once and every registered strategy searches
+//! it in turn, in registration order (`Optimizer::search_with`).
 //!
 //! Run with: `cargo run --release --example batch_reporting`
 
-use mqo::core::{Optimizer, Options, Registry};
+use mqo::core::{Optimized, Optimizer, Options, Registry};
 use mqo::ks15::Ks15Greedy;
 use mqo::workloads::Tpcd;
 use std::sync::Arc;
@@ -32,23 +30,29 @@ fn main() {
     }
     registry.register(Arc::new(Ks15Greedy)).unwrap();
 
-    // threads = 0 means auto: MQO_THREADS or the machine's parallelism.
-    let optimizer = Optimizer::with_registry(&w.catalog, Options::new().with_threads(0), registry);
+    let optimizer = Optimizer::with_registry(&w.catalog, Options::new(), registry);
 
-    // One expanded DAG, searched by every registered strategy at once.
+    // One expanded DAG, searched by every registered strategy in turn.
     let ctx = optimizer.prepare(&batch);
     println!(
         "batch of {} queries over the TPC-D-like schema (scale 1)",
         batch.len()
     );
     println!(
-        "DAG prepared once in {:.2} ms, searched concurrently by {} strategies\n",
+        "DAG prepared once in {:.2} ms, searched by {} strategies\n",
         ctx.dag_time_secs * 1e3,
         optimizer.registry().len()
     );
-    let results = optimizer
-        .search_all_parallel(&ctx)
-        .expect("built-in searches are fault-free here");
+    let results: Vec<(String, Optimized)> = optimizer
+        .registry()
+        .iter()
+        .map(|s| {
+            let r = optimizer
+                .search_with(&ctx, s.as_ref())
+                .expect("built-in searches are fault-free here");
+            (s.name().to_string(), r)
+        })
+        .collect();
 
     println!(
         "{:<12} {:>14} {:>12} {:>8} {:>12}",
