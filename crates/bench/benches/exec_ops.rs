@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks for the execution engine: shared vs
 //! unshared execution (the Figure 7 mechanism), the vectorized vs
 //! row-at-a-time operator paths (`vec_exec`), the `MQO_BATCH_ROWS`
-//! knob, the borrow-based `eval_pred` hot path, the two typed kernels
-//! (`nl_join`'s one-pass equi probe, `sort_by`'s `Int` key path) and a
-//! filter pipelined into its projection (`filter_project`) at the sizes
-//! the `batch-cold` workload runs them.
+//! knob, the borrow-based `eval_pred` hot path, the four kernels that
+//! read `Int` key images (`nl_join`'s one-pass equi probe, `sort_by`'s
+//! radix sort, `merge_join`'s key groups, `sort_aggregate`'s group
+//! boundaries) and a filter pipelined into its projection
+//! (`filter_project`) at the sizes the `batch-cold` workload runs them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_core::{optimize, Algorithm, OptContext, Options};
@@ -135,10 +136,12 @@ fn bench_eval_pred_row(c: &mut Criterion) {
 
 /// The typed kernels at the shapes that dominate `batch-cold`: the
 /// largest nested-loops join there has a 479-row outer against a
-/// 60 000-row inner on one `c_i = c_j` atom, and the largest sort is
-/// 60 000 rows of nine columns on one `Int` key.
+/// 60 000-row inner on one `c_i = c_j` atom, the largest sort is
+/// 60 000 rows of nine columns on one `Int` key, and the largest merge
+/// join and sort aggregate read 60 000 sorted rows on one `Int` key.
 fn bench_typed_kernels(c: &mut Criterion) {
     use mqo_catalog::ColId;
+    use mqo_expr::{AggExpr, AggFunc, ScalarExpr};
     // a multiplicative scramble: deterministic, no sorted runs
     let scrambled = |i: i64, domain: i64| Value::Int(i * 7919 % domain);
     let table = |base: u32, ncols: u32, nrows: i64, domain: i64| {
@@ -171,6 +174,33 @@ fn bench_typed_kernels(c: &mut Criterion) {
             t.sort_by(&[ColId(0)]);
             black_box(t.len())
         });
+    });
+    group.finish();
+
+    let sorted = |mut t: Table, key: ColId| {
+        t.sort_by(&[key]);
+        t
+    };
+    let left = sorted(table(0, 3, 60_000, 15_013), ColId(0));
+    let right = sorted(table(10, 3, 15_000, 15_013), ColId(10));
+    let mut group = c.benchmark_group("merge_join");
+    group.sample_size(10);
+    group.bench_function("int 60000x15000", |b| {
+        b.iter(|| {
+            let (lk, rk, t) = ([ColId(0)], [ColId(10)], Predicate::true_());
+            black_box(vops::merge_join(&left, &right, &lk, &rk, &t, &params, 1024).len())
+        });
+    });
+    group.finish();
+
+    let aggs = [
+        AggExpr::new(AggFunc::Sum, ScalarExpr::col(ColId(1)), ColId(90)),
+        AggExpr::new(AggFunc::Count, ScalarExpr::col(ColId(2)), ColId(91)),
+    ];
+    let mut group = c.benchmark_group("sort_aggregate");
+    group.sample_size(10);
+    group.bench_function("int", |b| {
+        b.iter(|| black_box(vops::sort_aggregate(&left, &[ColId(0)], &aggs).len()));
     });
     group.finish();
 }

@@ -327,32 +327,34 @@ impl Column {
         }
     }
 
-    /// `(key, row)` pairs of an `Int` column whose ascending order *is*
-    /// the stable [`Column::sort_cmp_rows`] order, so a sort extracts
-    /// them once instead of re-dispatching per comparison. The key is
-    /// the order-preserving bit image of `d[i] as f64` — the
-    /// comparison's own widening, so integers beyond 2^53 tie exactly
-    /// as they do there — and the row index breaks ties. Null keys are
-    /// 0, below every number: `i64 as f64` is never NaN, so the smallest
-    /// image (that of -2^63) is still positive. `None` for the other
+    /// One order-preserving `u64` key image per row of an `Int` column,
+    /// so a kernel extracts the keys once instead of dispatching on the
+    /// representation per comparison. The image is the bit pattern of
+    /// `d[i] as f64` — the comparison's own widening, so integers beyond
+    /// 2^53 tie exactly as they do there — mapped so that unsigned order
+    /// is `f64::total_cmp` order; a Null row is 0, below every number
+    /// (`i64 as f64` is never NaN, so the smallest image, that of
+    /// -2^63, is still positive). Hence, for rows `i` and `j`:
+    /// `img[i].cmp(&img[j]) == sort_cmp(cell(i), cell(j))`, and for
+    /// non-zero images `img[i] == img[j]` exactly when the cells'
+    /// [`Cell::join_key`]s are equal. `None` for the other
     /// representations.
-    pub(crate) fn int_sort_pairs(&self) -> Option<Vec<(u64, u32)>> {
+    pub(crate) fn int_key_images(&self) -> Option<Vec<u64>> {
         let ColumnData::Int(d) = &self.data else {
             return None;
         };
         let nulls = self.nulls.any();
-        let pairs = d.iter().enumerate().map(|(i, &x)| {
+        let image = |(i, &x): (usize, &i64)| {
             let bits = (x as f64).to_bits();
-            let key = if nulls && self.nulls.is_null(i) {
+            if nulls && self.nulls.is_null(i) {
                 0
             } else if bits >> 63 == 1 {
                 !bits
             } else {
                 bits | 1 << 63
-            };
-            (key, i as u32)
-        });
-        Some(pairs.collect())
+            }
+        };
+        Some(d.iter().enumerate().map(image).collect())
     }
 
     /// Total comparison of `self[i]` against `other[j]`.
@@ -718,6 +720,49 @@ mod tests {
                 assert_eq!(same_key, equal, "{a:?} vs {b:?}");
             }
         }
+    }
+
+    /// The key-image contract the sort, merge-join, hash-join and
+    /// aggregate kernels rely on: image order is `sort_cmp` order, and
+    /// two non-Null rows share an image exactly when they share a join
+    /// key — at the extremes, across the 2^53 ties, and with Nulls.
+    #[test]
+    fn int_key_images_order_as_sort_cmp_and_equal_as_join_key() {
+        const BIG: i64 = 1 << 53;
+        let vals: Vec<Value> = [
+            i64::MIN,
+            i64::MIN + 1,
+            -BIG - 2,
+            -BIG - 1,
+            -BIG,
+            -1,
+            0,
+            1,
+            BIG,
+            BIG + 1,
+            BIG + 2,
+            i64::MAX - 1,
+            i64::MAX,
+        ]
+        .into_iter()
+        .map(Value::Int)
+        .chain([Value::Null])
+        .collect();
+        let c = Column::from_values(vals.iter().cloned());
+        let img = c.int_key_images().expect("an Int column");
+        for i in 0..vals.len() {
+            assert_eq!(img[i] == 0, c.is_null(i), "row {i}: 0 is exactly Null");
+            for j in 0..vals.len() {
+                let (a, b) = (c.cell(i), c.cell(j));
+                assert_eq!(img[i].cmp(&img[j]), a.sort_cmp(b), "{a:?} vs {b:?}");
+                if img[i] != 0 {
+                    let same_key = a.join_key().is_some() && a.join_key() == b.join_key();
+                    assert_eq!(img[i] == img[j], same_key, "{a:?} vs {b:?}");
+                }
+            }
+        }
+        let f = Column::from_values([Value::Float(1.0)]);
+        assert!(f.int_key_images().is_none(), "only Int columns have images");
     }
 
     /// Regression for the NaN sort-ordering bug: `Cell::sort_cmp` used

@@ -195,10 +195,14 @@ pub fn merge_join(
                 };
                 let mut ii = i;
                 while ii < left.len() && key_cmp(&left[ii], &right[j]) == Ordering::Equal {
-                    // keys may contain Null: SQL equality never matches.
-                    // Invariant per left row, so checked once, not once
-                    // per right row of the group.
-                    if lp.iter().any(|&p| matches!(left[ii][p], Value::Null)) {
+                    // keys may contain Null or NaN, which equal nothing
+                    // under SQL equality, themselves included. Invariant
+                    // per left row, so checked once, not once per right
+                    // row of the group.
+                    if lp
+                        .iter()
+                        .any(|&p| left[ii][p].cmp_maybe(&left[ii][p]).is_none())
+                    {
                         ii += 1;
                         continue;
                     }

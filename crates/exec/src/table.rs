@@ -161,10 +161,10 @@ impl Table {
     }
 
     /// Sorts the rows by the given keys (ascending, Null first, stable)
-    /// via a column-level argsort + gather. A single `Int` key sorts
-    /// pre-extracted `(key, row)` pairs (`Column::int_sort_pairs`);
-    /// every other key list goes through the row comparator. Both give
-    /// the same permutation.
+    /// via a column-level argsort + gather. A single `Int` key is radix
+    /// sorted on its key images (`Column::int_key_images`, whose order
+    /// is the comparator's); every other key list goes through the row
+    /// comparator. Both give the same permutation.
     ///
     /// # Panics
     ///
@@ -172,15 +172,12 @@ impl Table {
     /// columns mix strings with numbers.
     pub fn sort_by(&mut self, keys: &[ColId]) {
         let pos: Vec<usize> = keys.iter().map(|&k| self.col_pos(k)).collect();
-        let typed = match pos[..] {
-            [p] => self.cols[p].int_sort_pairs(),
+        let images = match pos[..] {
+            [p] => self.cols[p].int_key_images(),
             _ => None,
         };
-        let idx: Vec<u32> = match typed {
-            Some(mut pairs) => {
-                pairs.sort_unstable();
-                pairs.into_iter().map(|(_, row)| row).collect()
-            }
+        let idx: Vec<u32> = match images {
+            Some(images) => radix_argsort(images),
             None => {
                 let mut idx: Vec<u32> = (0..self.n_rows as u32).collect();
                 idx.sort_by(|&a, &b| {
@@ -244,6 +241,40 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.n_rows == 0
     }
+}
+
+/// Stable LSD radix argsort, one byte per pass: the row indices of
+/// `keys` in ascending key order, ties in ascending row order — the
+/// permutation an unstable sort of `(key, row)` pairs gives. A byte
+/// position where every key agrees cannot reorder anything, so its pass
+/// is skipped (all eight when every key is equal).
+fn radix_argsort(mut keys: Vec<u64>) -> Vec<u32> {
+    let n = keys.len();
+    let mut rows: Vec<u32> = (0..n as u32).collect();
+    let varying = keys
+        .first()
+        .map_or(0, |&k0| keys.iter().fold(0, |m, &k| m | (k ^ k0)));
+    let (mut keys_to, mut rows_to) = (vec![0u64; n], vec![0u32; n]);
+    for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+        let digit = |k: u64| (k >> shift) as usize & 0xff;
+        let mut at = [0usize; 256];
+        for &k in &keys {
+            at[digit(k)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (sum, *slot) = (sum + *slot, sum);
+        }
+        for (&k, &r) in keys.iter().zip(&rows) {
+            let d = digit(k);
+            keys_to[at[d]] = k;
+            rows_to[at[d]] = r;
+            at[d] += 1;
+        }
+        std::mem::swap(&mut keys, &mut keys_to);
+        std::mem::swap(&mut rows, &mut rows_to);
+    }
+    rows
 }
 
 /// First `i` in `0..n` where `pred(i)` is false (binary search over row

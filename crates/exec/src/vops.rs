@@ -16,13 +16,14 @@
 //! bit-identical output tables; `tests/parity.rs` pins that equivalence
 //! on randomized inputs.
 
-use crate::column::{Column, ColumnBuilder, JoinKey};
+use crate::column::{Column, ColumnBuilder};
 use crate::ops::{self, Params};
 use crate::table::Table;
 use mqo_catalog::ColId;
 use mqo_expr::{AggExpr, Atom, CmpOp, Conjunct, Predicate, ScalarExpr, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// One side of a vectorized atom: a column of the probed input, a
@@ -394,6 +395,10 @@ pub fn project(input: &Table, sel: Option<&[u32]>, cols: &[ColId]) -> Table {
 /// Any other predicate runs vectorized over the whole inner per outer
 /// row, outer cells broadcast. Either way matches come out outer-major,
 /// inner row ascending, and each side's columns are gathered once.
+///
+/// # Panics
+///
+/// Panics when `pred` references a parameter absent from `params`.
 #[must_use]
 pub fn nl_join(
     outer: &Table,
@@ -409,7 +414,19 @@ pub fn nl_join(
         }
         return m.finish();
     };
-    let buckets = HashBuckets::build(outer_key, inner_key);
+    let buckets = match (outer_key.int_key_images(), inner_key.int_key_images()) {
+        (Some(o), Some(i)) => {
+            // image 0 is Null, which has no key
+            let key = |images: &[u64], r: usize| Some(images[r]).filter(|&k| k != 0);
+            HashBuckets::build(o.len(), |r| key(&o, r), i.len(), |r| key(&i, r))
+        }
+        _ => HashBuckets::build(
+            outer_key.len(),
+            |r| outer_key.cell(r).join_key(),
+            inner_key.len(),
+            |r| inner_key.cell(r).join_key(),
+        ),
+    };
     let mut m = JoinMatches::new(outer, inner, &residual, params, batch);
     for o in 0..outer.len() {
         m.probe(o, buckets.of(o).iter().copied());
@@ -452,28 +469,35 @@ fn equi_key<'a>(
 
 /// Hash-join candidates in CSR form: `rows[starts[o]..starts[o + 1]]`
 /// are the inner rows, ascending, whose key equals outer row `o`'s under
-/// [`Cell::join_key`](crate::column::Cell::join_key).
+/// [`Cell::join_key`](crate::column::Cell::join_key) — or, when both key
+/// columns are `Int`, under equality of their non-zero key images
+/// (`Column::int_key_images`), which is the same relation.
 struct HashBuckets {
     starts: Vec<usize>,
     rows: Vec<u32>,
 }
 
 impl HashBuckets {
-    /// Hashes the outer side (rows sharing a key chain through `next`),
-    /// scans the inner side once, and regroups the (outer, inner) hits
-    /// by outer row with a counting pass — stable, so each bucket keeps
-    /// scan order. The table is only ever probed, never iterated.
-    fn build(outer_key: &Column, inner_key: &Column) -> HashBuckets {
+    /// Hashes the outer side's keys (`None` = keyless, never matches;
+    /// rows sharing a key chain through `next`), scans the inner side
+    /// once, and regroups the (outer, inner) hits by outer row with a
+    /// counting pass — stable, so each bucket keeps scan order. The
+    /// table is only ever probed, never iterated.
+    fn build<K: Eq + Hash>(
+        n_outer: usize,
+        outer_key: impl Fn(usize) -> Option<K>,
+        n_inner: usize,
+        inner_key: impl Fn(usize) -> Option<K>,
+    ) -> HashBuckets {
         const END: u32 = u32::MAX;
-        let n_outer = outer_key.len();
         let mut next = vec![END; n_outer];
         // std's keyed SipHash, not the workspace's Fx: the keys are user
         // data, and the `f64` images of small integers end in 30+ zero
         // bits, which Fx's single multiply would leave as the bucket index.
-        let mut first: HashMap<JoinKey<'_>, u32> = HashMap::with_capacity(n_outer);
+        let mut first: HashMap<K, u32> = HashMap::with_capacity(n_outer);
         // back to front, so every chain runs in ascending outer row order
         for o in (0..n_outer).rev() {
-            if let Some(key) = outer_key.cell(o).join_key() {
+            if let Some(key) = outer_key(o) {
                 if let Some(later) = first.insert(key, o as u32) {
                     next[o] = later;
                 }
@@ -481,8 +505,8 @@ impl HashBuckets {
         }
         let mut hits: Vec<(u32, u32)> = Vec::new();
         let mut starts = vec![0usize; n_outer + 1];
-        for r in 0..inner_key.len() {
-            let Some(key) = inner_key.cell(r).join_key() else {
+        for r in 0..n_inner {
+            let Some(key) = inner_key(r) else {
                 continue;
             };
             let mut o = first.get(&key).copied().unwrap_or(END);
@@ -510,10 +534,17 @@ impl HashBuckets {
     }
 }
 
-/// Batched merge join of two inputs sorted on their key columns. Group
-/// matching compares key columns cell-wise (total order, so Null keys
-/// group together and are skipped once per left row); residuals run
-/// vectorized over the right-side group.
+/// Batched merge join of two inputs sorted on their key columns. Key
+/// groups are found in the sort's total order — on `u64` key images
+/// (`Column::int_key_images`) when each side has one `Int` key, cell by
+/// cell otherwise — and a group whose key is Null or NaN on some column
+/// matches nothing, as under SQL equality; residuals run vectorized over
+/// the right-side group.
+///
+/// # Panics
+///
+/// Panics when a key column is not in its side's schema, or when
+/// `residual` references a parameter absent from `params`.
 #[must_use]
 pub fn merge_join(
     left: &Table,
@@ -526,41 +557,66 @@ pub fn merge_join(
 ) -> Table {
     let lp: Vec<usize> = left_keys.iter().map(|&k| left.col_pos(k)).collect();
     let rp: Vec<usize> = right_keys.iter().map(|&k| right.col_pos(k)).collect();
-    let key_cmp = |li: usize, rj: usize| -> Ordering {
-        lp.iter()
-            .zip(rp.iter())
-            .map(|(&a, &b)| left.col(a).sort_cmp_cells(li, right.col(b), rj))
-            .find(|o| *o != Ordering::Equal)
-            .unwrap_or(Ordering::Equal)
-    };
     let mut m = JoinMatches::new(left, right, residual, params, batch);
-    let (nl, nr) = (left.len(), right.len());
+    let images = match (&lp[..], &rp[..]) {
+        (&[a], &[b]) => left
+            .col(a)
+            .int_key_images()
+            .zip(right.col(b).int_key_images()),
+        _ => None,
+    };
+    match images {
+        Some((l, r)) => merge_groups(&mut m, |i, j| l[i].cmp(&r[j]), |i| l[i] == 0),
+        None => merge_groups(
+            &mut m,
+            |i, j| {
+                lp.iter()
+                    .zip(&rp)
+                    .map(|(&a, &b)| left.col(a).sort_cmp_cells(i, right.col(b), j))
+                    .find(|o| *o != Ordering::Equal)
+                    .unwrap_or(Ordering::Equal)
+            },
+            |i| lp.iter().any(|&p| left.col(p).cell(i).join_key().is_none()),
+        ),
+    }
+    m.finish()
+}
+
+/// The merge loop over two sorted inputs: `key_cmp(i, j)` orders left
+/// row `i` against right row `j`, and `keyless(i)` says left row `i`'s
+/// key equals nothing. Each group of equal keys on both sides is probed
+/// left row by left row, unless its key is keyless — a property of the
+/// whole group, since it shares one key.
+fn merge_groups(
+    m: &mut JoinMatches<'_>,
+    key_cmp: impl Fn(usize, usize) -> Ordering,
+    keyless: impl Fn(usize) -> bool,
+) {
+    let (nl, nr) = (m.left.len(), m.right.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < nl && j < nr {
         match key_cmp(i, j) {
             Ordering::Less => i += 1,
             Ordering::Greater => j += 1,
             Ordering::Equal => {
-                // group of equal keys on both sides
-                let mut j_end = j;
+                let mut j_end = j + 1;
                 while j_end < nr && key_cmp(i, j_end) == Ordering::Equal {
                     j_end += 1;
                 }
-                let mut ii = i;
-                while ii < nl && key_cmp(ii, j) == Ordering::Equal {
-                    // SQL equality never matches a Null key — invariant
-                    // per left row
-                    if !lp.iter().any(|&p| left.col(p).is_null(ii)) {
-                        m.probe(ii, j as u32..j_end as u32);
-                    }
-                    ii += 1;
+                let mut i_end = i + 1;
+                while i_end < nl && key_cmp(i_end, j) == Ordering::Equal {
+                    i_end += 1;
                 }
-                i = ii;
+                if !keyless(i) {
+                    for l in i..i_end {
+                        m.probe(l, j as u32..j_end as u32);
+                    }
+                }
+                i = i_end;
                 j = j_end;
             }
         }
     }
-    m.finish()
 }
 
 /// Batched indexed nested-loops join: for each outer row, range-probe
@@ -590,8 +646,10 @@ pub fn indexed_nl_join(
 
 /// Batched sort-based aggregation over an input sorted by `keys`
 /// (scalar aggregation for empty `keys`). Group boundaries come from
-/// column comparisons; accumulators are the same [`AggExpr`] folds the
-/// row path uses, fed straight from the columns.
+/// column comparisons — equality of key images
+/// (`Column::int_key_images`) for a single `Int` key; accumulators are
+/// the same [`AggExpr`] folds the row path uses, fed straight from the
+/// columns.
 ///
 /// # Panics
 ///
@@ -621,9 +679,15 @@ pub fn sort_aggregate(input: &Table, keys: &[ColId], aggs: &[AggExpr]) -> Table 
             }
         }
     } else {
-        let same_group = |a: usize, b: usize| {
-            kp.iter()
-                .all(|&p| input.col(p).sort_cmp_rows(a, b) == Ordering::Equal)
+        let images = match kp[..] {
+            [p] => input.col(p).int_key_images(),
+            _ => None,
+        };
+        let same_group = |a: usize, b: usize| match &images {
+            Some(img) => img[a] == img[b],
+            None => kp
+                .iter()
+                .all(|&p| input.col(p).sort_cmp_rows(a, b) == Ordering::Equal),
         };
         let mut start = 0usize;
         while start < n {

@@ -10,8 +10,8 @@ use mqo_catalog::{Catalog, ColId, ColStats, ColType, TableId};
 use mqo_core::{optimize, Algorithm, OptContext, Options};
 use mqo_exec::ops::{self, Params};
 use mqo_exec::{
-    execute_plan_seeded, execute_plan_with, generate_database, vops, Database, ExecMode,
-    ExecOptions, ExecOutcome, Row, Table,
+    execute_plan_seeded, execute_plan_with, generate_database, normalize_result, vops, Database,
+    ExecMode, ExecOptions, ExecOutcome, Row, Table,
 };
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, Conjunct, ParamId, Predicate, ScalarExpr, Value};
 use mqo_logical::{Batch, LogicalPlan, Query};
@@ -634,10 +634,13 @@ fn nl_join_equi_duplicate_heavy_parity() {
     }
 }
 
-/// `Table::sort_by`'s typed single-`Int`-key path against its comparator
-/// path (reached by naming the key twice) and against a stable row sort
-/// under `Value::sort_cmp`: negative, duplicate, beyond-2^53 (which tie
-/// through `f64`) and Null keys, with stability read off the tag column.
+/// `Table::sort_by`'s radix path for a single `Int` key against its
+/// comparator path (reached by naming the key twice) and against a
+/// stable row sort under `Value::sort_cmp`: negative, duplicate,
+/// beyond-2^53 (which tie through `f64`) and Null keys, with stability
+/// read off the tag column — and, past the proptests' sizes, 2 000 rows
+/// at the `i64` extremes and ±2^53, all-equal keys (every radix pass
+/// skipped), and already-sorted and reversed input.
 #[test]
 fn sort_by_typed_path_parity() {
     const BIG: i64 = 1 << 53;
@@ -671,6 +674,21 @@ fn sort_by_typed_path_parity() {
                 .collect(),
         );
     }
+    inputs.push(
+        (0..2_000)
+            .map(|_| match rng.random_range(0i64..8) {
+                0 => Value::Null,
+                1 => i(i64::MIN),
+                2 => i(i64::MAX),
+                3 => i(BIG + rng.random_range(-2i64..3)),
+                4 => i(-BIG + rng.random_range(-2i64..3)),
+                _ => i(rng.random_range(-20i64..20)),
+            })
+            .collect(),
+    );
+    inputs.push(vec![i(7); 1_500]);
+    inputs.push((0..1_500).map(i).collect());
+    inputs.push((0..1_500).rev().map(i).collect());
     for keys in inputs {
         let t = keyed(0, keys);
         let key = t.schema[0];
@@ -685,6 +703,171 @@ fn sort_by_typed_path_parity() {
             assert!(rows_strict_eq(&compared.row(r), w), "comparator, row {r}");
         }
     }
+}
+
+/// `n` keys from `draw`, each row its own draw.
+fn draws(rng: &mut StdRng, n: usize, draw: fn(&mut StdRng) -> Value) -> Vec<Value> {
+    (0..n).map(|_| draw(rng)).collect()
+}
+
+/// `keyed(base, keys)` sorted on its key column.
+fn keyed_sorted(base: u32, keys: Vec<Value>) -> Table {
+    let mut t = keyed(base, keys);
+    t.sort_by(&[ColId(base)]);
+    t
+}
+
+/// Every batched merge join of `left ⋈ right` on their key columns is
+/// the row engine's, bit for bit, at every batch size; returns it.
+fn merge_join_both_engines(left: &Table, right: &Table, residual: &Predicate) -> Table {
+    let (lk, rk) = ([left.schema[0]], [right.schema[0]]);
+    let params = Params::default();
+    let want = row_merge_join(left, right, &lk, &rk, residual, &params);
+    for b in BATCHES {
+        let got = vops::merge_join(left, right, &lk, &rk, residual, &params, b);
+        assert!(tables_identical(&want, &got), "batch {b}: {residual}");
+    }
+    want
+}
+
+/// `normalize_result` of both tables, compared by variant and bits.
+fn same_rows(a: &Table, b: &Table) -> bool {
+    let (a, b) = (normalize_result(a), normalize_result(b));
+    a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| rows_strict_eq(x, y))
+}
+
+/// The typed merge join (one `Int` key a side, compared as key images)
+/// against the row engine past the proptests' sizes: 1 500 × 1 200 rows
+/// over a 40-value domain, Null keys on both sides, with and without a
+/// residual that cuts each group.
+#[test]
+fn merge_join_typed_key_duplicate_heavy_parity() {
+    let rng = &mut StdRng::seed_from_u64(0x5EED_2015_0831);
+    let key = |rng: &mut StdRng| match rng.random_range(0i64..44) {
+        k if k >= 40 => Value::Null,
+        k => Value::Int(k - 20),
+    };
+    let left = keyed_sorted(0, draws(rng, 1_500, key));
+    let right = keyed_sorted(10, draws(rng, 1_200, key));
+    assert!(left.col(0).is_null(0) && right.col(0).is_null(0));
+    for residual in [
+        Predicate::true_(),
+        Predicate::atom(Atom::col_cmp(ColId(1), CmpOp::Lt, ColId(11))),
+    ] {
+        let out = merge_join_both_engines(&left, &right, &residual);
+        assert!(out.len() > 10_000, "duplicate-heavy by construction");
+        assert!((0..out.len()).all(|r| !out.col(0).is_null(r)));
+    }
+}
+
+/// An `Int` key against a `Float` key has no shared key image, so both
+/// joins take the cell path — and still meet `Int(3)` with `Float(3.0)`,
+/// never with `Float(3.5)`, NaN or Null: the merge join agrees with the
+/// row engine, the hash join with the row loop, and the two joins with
+/// each other.
+#[test]
+fn int_against_float_keys_join_through_the_cell_path() {
+    let rng = &mut StdRng::seed_from_u64(3);
+    let int_key = |rng: &mut StdRng| match rng.random_range(0i64..24) {
+        0 => Value::Null,
+        k => Value::Int(k % 12),
+    };
+    let float_key = |rng: &mut StdRng| match rng.random_range(0i64..26) {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        k => Value::Float((k % 12) as f64 + if k >= 14 { 0.5 } else { 0.0 }),
+    };
+    let (ints, floats) = (draws(rng, 1_000, int_key), draws(rng, 1_000, float_key));
+    let merged = merge_join_both_engines(
+        &keyed_sorted(0, ints.clone()),
+        &keyed_sorted(10, floats.clone()),
+        &Predicate::true_(),
+    );
+    let (outer, inner) = (keyed(0, ints[..200].to_vec()), keyed(10, floats));
+    let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
+    let params = Params::default();
+    let looped = row_nl_join(&outer, &inner, &pred, &params);
+    for b in BATCHES {
+        let hashed = vops::nl_join(&outer, &inner, &pred, &params, b);
+        assert!(tables_identical(&looped, &hashed), "nl_join batch {b}");
+    }
+    for out in [&merged, &looped] {
+        assert!(out.len() > 1_000);
+        let threes: Vec<Value> = (0..out.len())
+            .filter(|&r| out.col(0).get(r) == Value::Int(3))
+            .map(|r| out.col(2).get(r))
+            .collect();
+        assert!(!threes.is_empty());
+        assert!(threes
+            .iter()
+            .all(|v| matches!(v, Value::Float(x) if *x == 3.0)));
+    }
+    let full = keyed(0, ints);
+    let whole = row_nl_join(&full, &inner, &pred, &params);
+    assert!(same_rows(&merged, &whole), "merge join = equi nested loops");
+}
+
+/// Regression: the merge join grouped keys by `sort_cmp`, under which
+/// NaN equals NaN, so it joined NaN keys that the hash probe and the
+/// predicate (`cmp_maybe`) never join — the rows returned depended on
+/// the join the optimizer picked. Both engines' `MergeJoin` and both
+/// engines' equi `NestLoopsJoin` must return the same rows over `Float`
+/// keys with NaNs, duplicates and Nulls on both sides. (`-0.0` against
+/// `0.0` is the one documented difference and is left out.)
+#[test]
+fn merge_join_matches_equi_nl_join_on_nan_keys() {
+    let f = Value::Float;
+    let nan = || f(f64::NAN);
+    let left = vec![nan(), f(1.0), Value::Null, nan(), f(2.5), f(1.0), f(3.0)];
+    let right = vec![f(2.5), nan(), f(1.0), Value::Null, f(2.5), nan(), f(4.0)];
+    let merged = merge_join_both_engines(
+        &keyed_sorted(0, left.clone()),
+        &keyed_sorted(10, right.clone()),
+        &Predicate::true_(),
+    );
+    let (outer, inner) = (keyed(0, left), keyed(10, right));
+    let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
+    let params = Params::default();
+    let looped = row_nl_join(&outer, &inner, &pred, &params);
+    assert_eq!(looped.len(), 4, "1.0 × 2·1 and 2.5 × 1·2");
+    for b in BATCHES {
+        let hashed = vops::nl_join(&outer, &inner, &pred, &params, b);
+        assert!(same_rows(&looped, &hashed), "nl_join batch {b}");
+    }
+    assert!(
+        same_rows(&merged, &looped),
+        "merge join = equi nested loops"
+    );
+}
+
+/// The batched sort aggregate finds a single `Int` key's groups by key
+/// image equality: 1 200 sorted rows with Nulls, the `i64` extremes and
+/// keys beyond 2^53 (which group together through `f64`, as the row
+/// engine's `sort_cmp` does), against the row engine.
+#[test]
+fn sort_aggregate_int_key_parity() {
+    const BIG: i64 = 1 << 53;
+    let rng = &mut StdRng::seed_from_u64(11);
+    let key = |rng: &mut StdRng| match rng.random_range(0i64..10) {
+        0 => Value::Null,
+        1 => Value::Int(i64::MIN),
+        2 => Value::Int(i64::MAX - rng.random_range(0i64..2)),
+        3 => Value::Int(BIG + rng.random_range(0i64..3)),
+        _ => Value::Int(rng.random_range(-30i64..30)),
+    };
+    let t = keyed_sorted(0, draws(rng, 1_200, key));
+    let tag = || ScalarExpr::col(ColId(1));
+    let aggs = [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max]
+        .into_iter()
+        .enumerate()
+        .map(|(i, func)| AggExpr::new(func, tag(), ColId(90 + i as u32)))
+        .collect::<Vec<_>>();
+    let want = row_sort_aggregate(&t, &[ColId(0)], &aggs);
+    assert!(want.len() > 60, "every group present");
+    assert!(tables_identical(
+        &want,
+        &vops::sort_aggregate(&t, &[ColId(0)], &aggs)
+    ));
 }
 
 // ---- engine-level parity ------------------------------------------------
