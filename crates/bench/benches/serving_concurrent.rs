@@ -6,9 +6,11 @@
 //! from then on each client is expected back, so a round forms when its
 //! last client has resubmitted or 16 queries are queued (the 2 ms
 //! window is only the ceiling).
-//! The per-round time growing *sublinearly* in the client count is the
-//! serving front doing its job: strangers share one optimizer pass and
-//! the warm MvStore instead of timeslicing the engine.
+//! The client whose resubmit completes a round runs that round's batch
+//! on its own thread and answers the others. The per-round time growing
+//! *sublinearly* in the client count is the serving front doing its
+//! job: strangers share one optimizer pass and the warm MvStore instead
+//! of timeslicing the engine.
 
 use std::sync::Arc;
 
@@ -31,11 +33,7 @@ const SQL: &str = "\
 fn bench_serving_concurrent(c: &mut Criterion) {
     let w = Tpcd::new(0.002);
     let db = generate_database(&w.catalog, 42, usize::MAX);
-    let front = Arc::new(ServeFront::new(
-        w.catalog,
-        db,
-        ServeOptions::new().with_workers(4),
-    ));
+    let front = Arc::new(ServeFront::new(w.catalog, db, ServeOptions::new()));
     front.submit_sql("warmup", SQL).expect("warmup submit");
 
     let mut g = c.benchmark_group("serving_concurrent");

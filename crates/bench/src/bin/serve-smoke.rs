@@ -49,7 +49,7 @@ fn main() {
     eprintln!("serve-smoke: TPC-D scale {SCALE} (seed {SEED}), {CLIENTS} TCP clients");
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, SEED, usize::MAX);
-    let front = ServeFront::new(w.catalog, db, ServeOptions::new().with_workers(4));
+    let front = ServeFront::new(w.catalog, db, ServeOptions::new());
     let mut server = Server::start(front, "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr().to_string();
     eprintln!("serve-smoke: listening on {addr}");

@@ -66,12 +66,12 @@ pub enum Seam {
     /// job is rejected before it ever reaches shared state).
     FormerEnqueue,
     /// Serving front: an executed batch's staged cache effects are
-    /// about to be sent to the commit actor (fires on the planner
-    /// worker's thread — the batch fails after execution, before any
-    /// shared mutation).
-    CommitSend,
-    /// Serving front: a planner worker is about to read the published
-    /// MvStore snapshot for a formed batch.
+    /// about to be committed (fires on the thread that formed the batch
+    /// — the batch fails after execution, before any shared mutation).
+    Commit,
+    /// Serving front: the published MvStore snapshot is about to be
+    /// read for a formed batch (fires on the thread that formed the
+    /// batch).
     SnapshotRead,
 }
 
@@ -88,7 +88,7 @@ impl Seam {
         Seam::Admission,
         Seam::Eviction,
         Seam::FormerEnqueue,
-        Seam::CommitSend,
+        Seam::Commit,
         Seam::SnapshotRead,
     ];
 
@@ -106,7 +106,7 @@ impl Seam {
             Seam::Admission => "admission",
             Seam::Eviction => "eviction",
             Seam::FormerEnqueue => "former-enqueue",
-            Seam::CommitSend => "commit-send",
+            Seam::Commit => "commit",
             Seam::SnapshotRead => "snapshot-read",
         }
     }
@@ -121,7 +121,7 @@ impl Seam {
             Seam::WarmLookup => ErrorStage::Session,
             Seam::TempBuild | Seam::ExecOperator | Seam::ColumnAlloc => ErrorStage::Execute,
             Seam::Admission | Seam::Eviction => ErrorStage::Admission,
-            Seam::FormerEnqueue | Seam::CommitSend | Seam::SnapshotRead => ErrorStage::Serve,
+            Seam::FormerEnqueue | Seam::Commit | Seam::SnapshotRead => ErrorStage::Serve,
         }
     }
 
@@ -138,7 +138,7 @@ impl Seam {
             Seam::Admission => 7,
             Seam::Eviction => 8,
             Seam::FormerEnqueue => 9,
-            Seam::CommitSend => 10,
+            Seam::Commit => 10,
             Seam::SnapshotRead => 11,
         }
     }

@@ -1,8 +1,8 @@
 //! Fault injection at the serving seams: a faulted submission is
 //! answered with a typed error and isolated — the shared store keeps
 //! exactly the state of the last successful commit, other tenants keep
-//! being served warm off it, and the fault never panics a worker or
-//! poisons the front.
+//! being served warm off it, and the fault never panics the thread
+//! running the batch or poisons the front.
 //!
 //! Failpoint state is process-global, so the test serializes on one
 //! mutex (same pattern as `driver.rs`; cargo runs test binaries one at
@@ -51,9 +51,10 @@ fn canon(results: &[QueryResult]) -> String {
     s
 }
 
-/// For each serving seam — submit-side enqueue, worker-side snapshot
-/// read, worker-side commit send — one armed fault fails exactly the
-/// victim's submission, with the full isolation contract checked after.
+/// For each serving seam — enqueue, then the snapshot read and the
+/// commit on the thread that formed the batch — one armed fault fails
+/// exactly the victim's submission, with the full isolation contract
+/// checked after.
 #[test]
 fn serving_faults_isolate_to_the_faulted_submit() {
     let _g = serial();
@@ -61,7 +62,7 @@ fn serving_faults_isolate_to_the_faulted_submit() {
         return;
     }
     mqo_chaos::clear();
-    for seam in [Seam::FormerEnqueue, Seam::SnapshotRead, Seam::CommitSend] {
+    for seam in [Seam::FormerEnqueue, Seam::SnapshotRead, Seam::Commit] {
         let front = front();
         // A steady tenant warms the store before the fault is armed.
         let baseline = front.submit_sql("steady", SQL).expect("cold baseline");
@@ -104,7 +105,7 @@ fn serving_faults_isolate_to_the_faulted_submit() {
         let (totals, tenants) = front.stats();
         assert!(totals.cache_hits > 0, "seam {seam:?}: no warm reuse");
 
-        // Worker-side seams fail a formed batch: the ledger records it
+        // Batch-side seams fail a formed batch: the ledger records it
         // against the victim. The enqueue seam fails before the job
         // ever reaches shared state, so nothing is recorded at all.
         if seam == Seam::FormerEnqueue {
@@ -132,18 +133,18 @@ fn faulted_front_still_shuts_down_cleanly() {
     mqo_chaos::clear();
     let front = front();
     front.submit_sql("steady", SQL).expect("cold");
-    mqo_chaos::install(Schedule::single(Seam::CommitSend, 1));
+    mqo_chaos::install(Schedule::single(Seam::Commit, 1));
     front
         .submit_sql("victim", SQL)
-        .expect_err("armed commit-send fault");
+        .expect_err("armed commit fault");
     mqo_chaos::clear();
     front.shutdown();
     let e = front.submit_sql("steady", SQL).unwrap_err();
     assert_eq!(e.kind, MqoErrorKind::Shutdown);
 }
 
-/// A fault inside the commit actor's own transaction — the admission
-/// seam fires on the actor thread, after the batch executed — drops the
+/// A fault inside the commit's own transaction — the admission seam
+/// fires under the store mutex, after the batch executed — drops the
 /// staged store: nothing is republished (the snapshot is the very same
 /// `Arc` as before), the rollback is counted, and a retry commits.
 #[test]

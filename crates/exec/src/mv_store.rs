@@ -153,7 +153,7 @@ impl MvStore {
     /// Reads a live entry **without** touching hit counters or stamps.
     /// This is the snapshot-read path of the serving front: concurrent
     /// planners peek a cheap clone of the store while forming their
-    /// plans, and the commit actor records the resulting warm reads
+    /// plans, and the commit records the resulting warm reads
     /// serially afterwards ([`MvStore::note_hit`]) — so accounting
     /// stays single-writer even though reads overlap.
     #[must_use]

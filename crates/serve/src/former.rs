@@ -5,9 +5,9 @@
 //! Purity is the point: every transition takes the clock as an explicit
 //! `now` argument and touches nothing but its own queues, so the
 //! forming and fairness semantics are exercised by deterministic unit
-//! tests with a fake clock — the planner workers that drive it in
+//! tests with a fake clock — the submitting threads that drive it in
 //! production (`ServeFront`) add nothing but `Instant::now()` and a
-//! condvar.
+//! timed wait on their own reply.
 //!
 //! Forming rules (checked by [`Former::ready`]; any one suffices):
 //!
@@ -224,8 +224,8 @@ impl<P> Former<P> {
     /// The earliest instant at which [`Former::ready`] holds without a
     /// further push, if jobs are queued: the oldest job's ceiling or
     /// the moment the last missing tenant stops being expected,
-    /// whichever is first. A waiting worker sleeps until this (or a
-    /// push).
+    /// whichever is first. A waiting submitter sleeps until this (or
+    /// its answer).
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
         let ceiling = self.oldest()? + self.cfg.window;
@@ -521,7 +521,7 @@ mod tests {
         })]
 
         /// A caller that forms on every push and otherwise sleeps until
-        /// `next_deadline()` — what a planner worker does — always wakes
+        /// `next_deadline()` — what a waiting submitter does — always wakes
         /// to a ready former, never spins, and never holds a job past
         /// one window.
         #[test]

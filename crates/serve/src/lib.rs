@@ -9,16 +9,19 @@
 //!   search → extract → execute on `&self` against a read-only
 //!   [`MvStore`](mqo_exec::MvStore) snapshot, so any number of batches
 //!   plan and execute concurrently;
-//! - **mutation is an actor** — every staged cache effect (warm hits,
-//!   admissions, evictions, per-tenant counters) is applied by ONE
-//!   commit thread with the same clone-swap transaction a solo session
-//!   uses, then published as a refcounted snapshot;
+//! - **mutation is one commit** — every staged cache effect (warm
+//!   hits, admissions, evictions, per-tenant counters) is applied under
+//!   the mutex that publishes the store, with the same clone-swap
+//!   transaction a solo session uses, then published as a refcounted
+//!   snapshot;
 //! - **batches are formed, not submitted** — the [`Former`] coalesces
 //!   many tenants' jobs with round-robin fairness, waiting for company
 //!   only while a tenant that just rode a batch is still on its way
 //!   back (size and time windows are ceilings), so concurrent tenants
 //!   *share* optimizer structure (one tenant's materialized temp
 //!   answers another's query) instead of merely timeslicing the engine;
+//!   the submitter that forms a batch runs it, so the front owns no
+//!   thread;
 //! - **SQL lowering is registrared** — one serialized
 //!   [`Registrar`] owns the catalog and the SQL planner's aggregate
 //!   memo, closing the `catalog_mut` race and keeping derived `ColId`s

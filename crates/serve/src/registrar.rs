@@ -1,5 +1,5 @@
 //! The catalog registrar: serialized SQL lowering over ONE shared
-//! catalog, published to planner workers as immutable snapshots.
+//! catalog, published to the batches as immutable snapshots.
 //!
 //! This closes the `catalog_mut()` concurrency hazard the single-tenant
 //! REPL tolerated: SQL lowering may register derived columns (aggregate
@@ -13,7 +13,7 @@
 //!
 //! The catalog is append-only under lowering, so a published
 //! [`Registrar::snapshot`] is never invalidated — only superseded by a
-//! wider one. A worker that picks up a formed batch takes the *current*
+//! wider one. The thread that forms a batch takes the *current*
 //! snapshot; every job in the batch was lowered (and its columns
 //! published) strictly before it was queued, so the snapshot covers
 //! every `ColId` the batch references.
@@ -99,24 +99,25 @@ mod tests {
 
     #[test]
     fn concurrent_lowering_is_serialized_and_snapshots_cover_jobs() {
-        let reg = Arc::new(Registrar::new(Tpcd::new(0.001).catalog));
+        let reg = Registrar::new(Tpcd::new(0.001).catalog);
         let base_cols = reg.snapshot().columns().len();
         let sql = "select o_orderdate, sum(l_quantity) from orders, lineitem \
                    where o_orderkey = l_orderkey group by o_orderdate;";
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    let planned = reg.lower(sql).expect("valid SQL lowers");
-                    // The snapshot taken after lowering must resolve the
-                    // derived aggregate column the plan references.
-                    let snap = reg.snapshot();
-                    assert!(snap.columns().len() > base_cols);
-                    planned
+        let results: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let planned = reg.lower(sql).expect("valid SQL lowers");
+                        // The snapshot taken after lowering must resolve
+                        // the derived aggregate column the plan references.
+                        let snap = reg.snapshot();
+                        assert!(snap.columns().len() > base_cols);
+                        planned
+                    })
                 })
-            })
-            .collect();
-        let results: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
         // Shared planner memo: the SAME derived ColId for the same
         // aggregate across all tenants (this is what makes cross-tenant
         // cache sharing fingerprint-compatible).

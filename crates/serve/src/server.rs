@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -24,15 +24,19 @@ use crate::protocol::{
 };
 use crate::{FrontTotals, TenantStats};
 
+/// One accepted connection: a handle on its socket, so shutdown can
+/// unblock a handler waiting for the peer's next frame, and its thread.
+type Conn = (TcpStream, JoinHandle<()>);
+
 /// A running TCP server. Dropping it (or calling [`Server::shutdown`])
-/// stops the accept loop, joins every connection, and shuts the front
-/// down cleanly.
+/// stops the accept loop, closes and joins every connection, and shuts
+/// the front down cleanly.
 pub struct Server {
     front: Arc<ServeFront>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
 
 impl Server {
@@ -50,7 +54,7 @@ impl Server {
             .map_err(|e| MqoError::protocol("bind", format!("no local addr: {e}")))?;
         let front = Arc::new(front);
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let front = Arc::clone(&front);
             let stop = Arc::clone(&stop);
@@ -61,14 +65,20 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    let Ok(socket) = stream.try_clone() else {
+                        continue;
+                    };
                     let front = Arc::clone(&front);
                     let handle = std::thread::spawn(move || {
-                        serve_connection(&front, stream);
+                        serve_connection(&front, &stream);
+                        // `socket` keeps the descriptor open, so dropping
+                        // `stream` would not hang up on the peer.
+                        stream.shutdown(Shutdown::Both).ok();
                     });
-                    conns
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(handle);
+                    let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
+                    // Release finished connections' descriptors.
+                    conns.retain(|(_, h)| !h.is_finished());
+                    conns.push((socket, handle));
                 }
             })
         };
@@ -93,8 +103,8 @@ impl Server {
         &self.front
     }
 
-    /// Stops accepting, joins every connection handler, and shuts the
-    /// front down. Idempotent; also runs on drop.
+    /// Stops accepting, closes and joins every connection handler, and
+    /// shuts the front down. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
             // Unblock the accept loop with a throwaway connection.
@@ -109,7 +119,10 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
             .collect();
-        for h in handles {
+        for (socket, h) in handles {
+            // A handler blocks reading the peer's next frame for as long
+            // as the peer stays connected; closing the socket ends it.
+            socket.shutdown(Shutdown::Both).ok();
             h.join().ok();
         }
         self.front.shutdown();
@@ -152,7 +165,7 @@ fn stats_pairs(
 
 /// One connection's serve loop. Returning tears down only this
 /// connection; the front and every other tenant are untouched.
-fn serve_connection(front: &ServeFront, stream: TcpStream) {
+fn serve_connection(front: &ServeFront, stream: &TcpStream) {
     stream.set_nodelay(true).ok();
     // Frames are read through the buffer (one `read` per frame, not
     // two) and written straight to the socket inside it.

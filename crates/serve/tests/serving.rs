@@ -136,11 +136,7 @@ fn serial_reference() -> BTreeMap<String, Vec<Vec<String>>> {
 fn front(former: FormerConfig) -> ServeFront {
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, SEED, usize::MAX);
-    ServeFront::new(
-        w.catalog,
-        db,
-        ServeOptions::new().with_former(former).with_workers(4),
-    )
+    ServeFront::new(w.catalog, db, ServeOptions::new().with_former(former))
 }
 
 /// THE acceptance test: N concurrent tenants with interleaved
@@ -296,6 +292,62 @@ fn flooding_tenant_cannot_starve_a_victim() {
     front.shutdown();
 }
 
+/// A silent co-rider strands nobody: alice and bob ride one batch, then
+/// only alice comes back. Her job waits for bob until its deadline, one
+/// window, and is then formed and run by her own thread — the front
+/// has no other.
+#[test]
+fn job_whose_co_rider_never_returns_is_formed_by_its_own_thread() {
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    let window = Duration::from_secs(1);
+    let front = Arc::new(front(FormerConfig {
+        window,
+        max_batch_queries: 2,
+        tenant_share: 8,
+        tenant_pending: 4,
+    }));
+    // carol rides alone and never returns: while she is expected,
+    // alice's and bob's one-query jobs wait, and the second of them
+    // fills the two-query cap.
+    front
+        .submit_sql("carol", ORDERS_AGG)
+        .expect("carol's submit");
+    let riders: Vec<_> = ["alice", "bob"]
+        .into_iter()
+        .map(|tenant| {
+            let front = Arc::clone(&front);
+            std::thread::spawn(move || front.submit_sql(tenant, ORDERS_AGG))
+        })
+        .collect();
+    for rider in riders {
+        rider.join().expect("rider thread").expect("rider's submit");
+    }
+    let (before, _) = front.stats();
+    assert_eq!(before.batches, 2, "alice and bob rode one batch");
+
+    let (done_tx, done_rx) = mpsc::channel();
+    {
+        let front = Arc::clone(&front);
+        std::thread::spawn(move || {
+            let start = Instant::now();
+            let outcome = front.submit_sql("alice", ORDERS_AGG);
+            done_tx.send((outcome, start.elapsed())).ok();
+        });
+    }
+    let (outcome, waited) = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("alice's job was stranded");
+    outcome.expect("alice's resubmit");
+    assert!(
+        waited >= window,
+        "formed before bob stopped being expected: {waited:?}"
+    );
+    assert_eq!(front.stats().0.batches, before.batches + 1);
+    front.shutdown();
+}
+
 /// Shutdown answers rather than abandons: jobs submitted after
 /// shutdown get a typed Shutdown error, and shutdown is idempotent.
 #[test]
@@ -311,10 +363,10 @@ fn shutdown_is_typed_and_idempotent() {
 /// Shutdown under load, with a watchdog: four tenants submit in a loop,
 /// `shutdown()` lands once every one of them has traffic in flight,
 /// every call returns `Ok` or a typed `Shutdown`, and every thread is
-/// back within 5 s. The planner workers sleep on the former's condvar
-/// themselves; a wakeup lost between their stop-check and their wait
-/// would hang `shutdown()`'s join — which must fail this test, not hang
-/// the suite.
+/// back within 5 s. Each batch runs on the thread that formed it; a
+/// leader that failed to answer a rider, or a drained job left
+/// unanswered, would hang that rider — which must fail this test, not
+/// hang the suite.
 #[test]
 fn shutdown_under_load_answers_everyone_and_joins() {
     use std::sync::mpsc;

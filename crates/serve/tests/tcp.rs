@@ -102,6 +102,25 @@ fn sql_errors_are_typed_over_the_wire_and_nonfatal() {
     server.shutdown();
 }
 
+/// Shutdown does not wait for clients to leave: a connected client that
+/// sends nothing must not keep `Server::shutdown` from returning.
+#[test]
+fn shutdown_with_an_idle_client_returns() {
+    let mut server = start_server();
+    let addr = server.local_addr().to_string();
+    let idle =
+        Client::connect_retry(&addr, "idle", 20, Duration::from_millis(50)).expect("connect");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).ok();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("Server::shutdown hung on an idle connection");
+    drop(idle);
+}
+
 /// A garbage-spewing connection is torn down alone: the server keeps
 /// serving well-behaved clients afterwards.
 #[test]

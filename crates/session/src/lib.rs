@@ -377,9 +377,8 @@ pub struct StagedSubmit {
 /// Applies a staged submit's cache effects to `store`, serially: warm
 /// hits are recorded, cold temps admitted (benefit-ranked, budgeted),
 /// and the store verified. On `Err` the store may hold a partial
-/// admission set — callers stage on a clone and swap on success, which
-/// is exactly what [`MqoSession::submit`] and the `mqo-serve` commit
-/// actor both do.
+/// admission set — [`commit`] stages on a clone for exactly that
+/// reason.
 ///
 /// # Errors
 ///
@@ -427,6 +426,27 @@ pub fn commit_staged(
     Ok(())
 }
 
+/// The transactional commit of a staged submit: [`commit_staged`] onto
+/// a copy of `store` — the one O(entries) clone of a commit; entry
+/// tables are refcounted, so the copy is shallow — returned for the
+/// caller to swap in. On `Err` the copy drops: the rollback, `store`
+/// untouched. [`MqoSession::submit`] and the `mqo-serve` front both
+/// commit through this.
+///
+/// # Errors
+///
+/// Whatever [`commit_staged`] returns.
+pub fn commit(
+    store: &MvStore,
+    staged: &mut StagedSubmit,
+    seq: u64,
+    verify: VerifyLevel,
+) -> Result<MvStore, MqoError> {
+    let mut next = store.clone();
+    commit_staged(&mut next, staged, seq, verify)?;
+    Ok(next)
+}
+
 /// The pure planning-and-execution half of a session: database,
 /// options, strategy registry and plan cache, with **no** catalog and
 /// **no** cross-batch cache state. [`SessionCore::plan_execute`] runs
@@ -435,8 +455,9 @@ pub fn commit_staged(
 /// can plan and execute concurrently over one shared core — the shape
 /// the multi-tenant serving front (`mqo-serve`) builds on. All store
 /// mutation is deferred into the returned [`StagedSubmit`], applied
-/// later by [`commit_staged`] under whatever serialization the caller
-/// owns (`&mut self` in [`MqoSession`], a commit actor in `mqo-serve`).
+/// later by [`commit`] under whatever serialization the caller owns
+/// (`&mut self` in [`MqoSession`], the published-store mutex in
+/// `mqo-serve`).
 ///
 /// The one thing a core remembers is which plans it derived: a batch
 /// that recurs against an unchanged warm set is answered with its
@@ -991,20 +1012,13 @@ impl MqoSession {
         let seq = self.batch_seq;
         self.batch_seq += 1;
         // Plan and execute purely against the live store (read-only),
-        // then stage every cross-batch mutation on a snapshot (entry
-        // tables are refcounted, so the clone is shallow); commit by
-        // swapping it in, roll back by dropping it.
+        // then commit by swapping in the committed copy.
         let submit = self
             .core
             .plan_execute(&self.catalog, batch, params, seq, &self.store)
             .and_then(|mut staged| {
-                let mut staged_store = self.store.clone();
-                commit_staged(
-                    &mut staged_store,
-                    &mut staged,
-                    seq,
-                    self.core.options().opt.verify,
-                )?;
+                let verify = self.core.options().opt.verify;
+                let staged_store = commit(&self.store, &mut staged, seq, verify)?;
                 Ok((staged, staged_store))
             });
         match submit {

@@ -32,8 +32,8 @@ pub enum ErrorStage {
     Admission,
     /// Session-level orchestration (warm lookup, store verification).
     Session,
-    /// The multi-tenant serving front: batch forming, commit-actor
-    /// traffic, snapshot reads, and the TCP protocol.
+    /// The multi-tenant serving front: batch forming, snapshot reads,
+    /// commits, and the TCP protocol.
     Serve,
 }
 
