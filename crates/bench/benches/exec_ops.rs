@@ -8,7 +8,7 @@
 //! (`filter_project`) at the sizes the `batch-cold` workload runs them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mqo_core::{optimize, Algorithm, OptContext, Options};
+use mqo_core::Optimizer;
 use mqo_exec::ops::{self, Params};
 use mqo_exec::{
     execute_plan, execute_plan_with, generate_database, vops, ExecMode, ExecOptions, Table,
@@ -21,15 +21,15 @@ use std::hint::black_box;
 
 fn bench_shared_vs_unshared(c: &mut Criterion) {
     let w = Tpcd::new(0.002);
-    let opts = Options::new();
+    let optimizer = Optimizer::new(&w.catalog);
     let db = generate_database(&w.catalog, 42, usize::MAX);
     let params = FxHashMap::default();
     let mut group = c.benchmark_group("fig7_execution");
     group.sample_size(10);
     for (name, batch) in [("Q11", w.q11()), ("Q15", w.q15())] {
-        let base = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts);
-        let greedy = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
-        let ctx = OptContext::build(&batch, &w.catalog, &opts);
+        let ctx = optimizer.prepare(&batch);
+        let base = optimizer.search(&ctx, "Volcano").unwrap();
+        let greedy = optimizer.search(&ctx, "Greedy").unwrap();
         group.bench_function(format!("{name}/no_mqo"), |b| {
             b.iter(|| {
                 black_box(execute_plan(&w.catalog, &ctx.pdag, &base.plan, &db, &params).rows_out)
@@ -48,14 +48,14 @@ fn bench_shared_vs_unshared(c: &mut Criterion) {
 /// default datagen scale — the headline number for the batched engine.
 fn bench_vec_exec(c: &mut Criterion) {
     let w = Tpcd::new(0.004);
-    let opts = Options::new();
+    let optimizer = Optimizer::new(&w.catalog);
     let db = generate_database(&w.catalog, 42, usize::MAX);
     let params = FxHashMap::default();
     let mut group = c.benchmark_group("vec_exec");
     group.sample_size(10);
     for (name, batch) in [("Q11", w.q11()), ("Q15", w.q15()), ("BQ2", w.bq(2))] {
-        let greedy = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
-        let ctx = OptContext::build(&batch, &w.catalog, &opts);
+        let ctx = optimizer.prepare(&batch);
+        let greedy = optimizer.search(&ctx, "Greedy").unwrap();
         for (mode_name, mode) in [("row", ExecMode::Row), ("vec", ExecMode::Vectorized)] {
             group.bench_function(format!("{name}/{mode_name}"), |b| {
                 b.iter(|| {
@@ -79,9 +79,8 @@ fn bench_vec_exec(c: &mut Criterion) {
         }
     }
     // the MQO_BATCH_ROWS knob, swept on one representative execution
-    let batch = w.q15();
-    let greedy = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
-    let ctx = OptContext::build(&batch, &w.catalog, &opts);
+    let ctx = optimizer.prepare(&w.q15());
+    let greedy = optimizer.search(&ctx, "Greedy").unwrap();
     for batch_rows in [1usize, 64, 1024, 8192] {
         group.bench_function(format!("Q15/vec_batch{batch_rows}"), |b| {
             b.iter(|| {
@@ -211,7 +210,7 @@ fn bench_typed_kernels(c: &mut Criterion) {
 /// projected to three columns.
 fn bench_filter_project(c: &mut Criterion) {
     let w = Tpcd::new(0.01);
-    let opts = Options::new();
+    let optimizer = Optimizer::new(&w.catalog);
     let db = generate_database(&w.catalog, 42, usize::MAX);
     let params = FxHashMap::default();
     let lineitem = w.catalog.table_by_name("lineitem").expect("TPC-D").id;
@@ -229,8 +228,8 @@ fn bench_filter_project(c: &mut Criterion) {
             )))
             .project(cols.to_vec());
         let batch = Batch::of(vec![Query::new(name, q)]);
-        let plan = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts).plan;
-        let ctx = OptContext::build(&batch, &w.catalog, &opts);
+        let ctx = optimizer.prepare(&batch);
+        let plan = optimizer.search(&ctx, "Volcano").unwrap().plan;
         group.bench_function(format!("60000x9 to 3 cols/{name}"), |b| {
             b.iter(|| {
                 let exec = ExecOptions::default();

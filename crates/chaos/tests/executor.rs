@@ -11,7 +11,7 @@
 //!   selection its `Project` gathers is not one.
 
 use mqo_chaos::{Schedule, Seam};
-use mqo_core::{optimize, Algorithm, OptContext, Options};
+use mqo_core::Optimizer;
 use mqo_exec::{
     execute_plan_with, generate_database, try_execute_plan_seeded, vops, ExecOptions, ExecOutcome,
 };
@@ -44,11 +44,10 @@ fn exec_operator_hits_per_bq_execution_are_pinned() {
     }
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, 42, usize::MAX);
-    let opts = Options::new();
+    let optimizer = Optimizer::new(&w.catalog);
     for (i, &want) in (1..=5).zip(&BQ_EXEC_OPERATOR_HITS) {
-        let batch = w.bq(i);
-        let r = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
-        let ctx = OptContext::build(&batch, &w.catalog, &opts);
+        let ctx = optimizer.prepare(&w.bq(i));
+        let r = optimizer.search(&ctx, "Greedy").unwrap();
         // armed, but on a hit no execution reaches
         mqo_chaos::install(Schedule::single(Seam::ExecOperator, u64::MAX));
         let out = execute_plan_with(
@@ -71,11 +70,10 @@ fn expired_deadline_aborts_each_query_at_its_root() {
     let _g = serial();
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, 42, usize::MAX);
-    let opts = Options::new();
+    let optimizer = Optimizer::new(&w.catalog);
     for i in 1..=5 {
-        let batch = w.bq(i);
-        let r = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
-        let ctx = OptContext::build(&batch, &w.catalog, &opts);
+        let ctx = optimizer.prepare(&w.bq(i));
+        let r = optimizer.search(&ctx, "Greedy").unwrap();
         let exec = ExecOptions {
             deadline: Some(Instant::now()),
             ..ExecOptions::default()
@@ -122,9 +120,10 @@ fn mem_budget_charges_only_materialized_outputs() {
         Query::new(name, q)
     };
     let batch = Batch::of(vec![query("low", CmpOp::Lt), query("high", CmpOp::Ge)]);
-    let opts = Options::new();
-    let plan = optimize(&batch, cat, Algorithm::Volcano, &opts).plan;
-    let pdag = OptContext::build(&batch, cat, &opts).pdag;
+    let optimizer = Optimizer::new(cat);
+    let ctx = optimizer.prepare(&batch);
+    let plan = optimizer.search(&ctx, "Volcano").unwrap().plan;
+    let pdag = ctx.pdag;
     let run = |mem_budget_bytes| -> ExecOutcome {
         let exec = ExecOptions {
             mem_budget_bytes,

@@ -7,8 +7,15 @@ use mqo_dag::sharable_groups;
 use mqo_physical::{CostTable, ExtractedPlan, MatSet, PhysNodeId};
 use mqo_util::MqoError;
 
-/// The exhaustive oracle strategy (registry name `"Exhaustive"`): wraps
-/// [`exhaustive`]. Small inputs only.
+/// Maximum number of candidate nodes considered: `2^MAX_CANDIDATES`
+/// subsets are enumerated.
+const MAX_CANDIDATES: usize = 16;
+
+/// The exhaustive oracle strategy (registry name `"Exhaustive"`):
+/// enumerates every subset of the sharable candidates and keeps the one
+/// with minimum `bestcost(Q, S)`. Candidates beyond `MAX_CANDIDATES` are
+/// dropped (largest degree of sharing kept) — exhaustive search is only
+/// an oracle for small inputs, not a practical algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Exhaustive;
 
@@ -18,59 +25,46 @@ impl Strategy for Exhaustive {
     }
 
     fn search(&self, ctx: &OptContext<'_>, _options: &Options) -> Result<Optimized, MqoError> {
-        Ok(exhaustive(ctx))
-    }
-}
-
-/// Maximum number of candidate nodes considered: `2^MAX_CANDIDATES`
-/// subsets are enumerated.
-const MAX_CANDIDATES: usize = 16;
-
-/// Enumerates every subset of the sharable candidates and keeps the one
-/// with minimum `bestcost(Q, S)`. Candidates beyond `MAX_CANDIDATES`
-/// are dropped (largest degree of sharing kept) — exhaustive search is
-/// only an oracle, not a practical algorithm.
-#[must_use]
-pub fn exhaustive(ctx: &OptContext<'_>) -> Optimized {
-    let pdag = &ctx.pdag;
-    let mut stats = OptStats::default();
-    let mut degrees = sharable_groups(&ctx.dag);
-    stats.sharable = degrees.len();
-    degrees.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let mut candidates: Vec<PhysNodeId> = Vec::new();
-    for (g, _) in degrees {
-        for &v in pdag.variants(g) {
-            candidates.push(v);
-        }
-    }
-    candidates.truncate(MAX_CANDIDATES);
-    stats.candidates = candidates.len();
-
-    let mut best_mat = MatSet::new();
-    let mut best_table = CostTable::compute(pdag, &best_mat);
-    let mut best_cost = best_table.total(pdag, &best_mat);
-    for mask in 1u64..(1u64 << candidates.len()) {
-        let mut mat = MatSet::new();
-        for (i, &n) in candidates.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                mat.insert(pdag, n);
+        let pdag = &ctx.pdag;
+        let mut stats = OptStats::default();
+        let mut degrees = sharable_groups(&ctx.dag);
+        stats.sharable = degrees.len();
+        degrees.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut candidates: Vec<PhysNodeId> = Vec::new();
+        for (g, _) in degrees {
+            for &v in pdag.variants(g) {
+                candidates.push(v);
             }
         }
-        let table = CostTable::compute(pdag, &mat);
-        let cost = table.total(pdag, &mat);
-        stats.benefit_recomputations += 1;
-        if cost < best_cost {
-            best_cost = cost;
-            best_mat = mat;
-            best_table = table;
+        candidates.truncate(MAX_CANDIDATES);
+        stats.candidates = candidates.len();
+
+        let mut best_mat = MatSet::new();
+        let mut best_table = CostTable::compute(pdag, &best_mat);
+        let mut best_cost = best_table.total(pdag, &best_mat);
+        for mask in 1u64..(1u64 << candidates.len()) {
+            let mut mat = MatSet::new();
+            for (i, &n) in candidates.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    mat.insert(pdag, n);
+                }
+            }
+            let table = CostTable::compute(pdag, &mat);
+            let cost = table.total(pdag, &mat);
+            stats.benefit_recomputations += 1;
+            if cost < best_cost {
+                best_cost = cost;
+                best_mat = mat;
+                best_table = table;
+            }
         }
-    }
-    stats.materialized = best_mat.len();
-    let plan = ExtractedPlan::extract(pdag, &best_table, &best_mat);
-    Optimized {
-        plan,
-        mat: best_mat,
-        cost: best_cost,
-        stats,
+        stats.materialized = best_mat.len();
+        let plan = ExtractedPlan::extract(pdag, &best_table, &best_mat);
+        Ok(Optimized {
+            plan,
+            mat: best_mat,
+            cost: best_cost,
+            stats,
+        })
     }
 }

@@ -18,24 +18,15 @@ use mqo_util::MqoError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The greedy strategy (registry name `"Greedy"`): wraps [`greedy`],
-/// drawing its ablation switches from [`Options::greedy`].
+/// The greedy strategy (registry name `"Greedy"`): iteratively
+/// materialize the candidate node with the largest benefit until no
+/// candidate improves the plan. Its ablation switches come from
+/// [`Options::greedy`]. An expired [`Options::deadline`] ends the search
+/// early with the best-so-far set and [`OptStats::degraded`] set — not
+/// an error; the only errors are injected faults (`mqo-chaos` seams
+/// `cost-propagation`, `extract`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy;
-
-impl Strategy for Greedy {
-    fn name(&self) -> &str {
-        "Greedy"
-    }
-
-    fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError> {
-        let mut g = options.greedy;
-        if g.deadline.is_none() {
-            g.deadline = options.deadline;
-        }
-        greedy(ctx, g)
-    }
-}
 
 /// Ablation switches for the greedy algorithm (§6.3 experiments).
 #[derive(Debug, Clone, Copy)]
@@ -60,12 +51,6 @@ pub struct GreedyOptions {
     /// materialization stops once the budget is exhausted. Temp space is
     /// charged in whole blocks (a sub-block result still occupies one).
     pub space_budget_blocks: Option<f64>,
-    /// Cooperative deadline, checked at every heap pop / probe round.
-    /// On expiry the search commits the best-so-far materialized set
-    /// (greedy is an anytime algorithm, §4.4) and flags
-    /// [`OptStats::degraded`]. Falls back to [`Options::deadline`] when
-    /// unset and greedy runs as the registered strategy.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for GreedyOptions {
@@ -76,7 +61,6 @@ impl Default for GreedyOptions {
             use_incremental: true,
             sorted_candidates: true,
             space_budget_blocks: None,
-            deadline: None,
         }
     }
 }
@@ -114,12 +98,6 @@ impl GreedyOptions {
     /// Sets the temporary-storage budget in blocks (§8 future work).
     pub fn with_space_budget_blocks(mut self, blocks: Option<f64>) -> Self {
         self.space_budget_blocks = blocks;
-        self
-    }
-
-    /// Sets the cooperative search deadline (`None` = unbounded).
-    pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
-        self.deadline = deadline;
         self
     }
 }
@@ -257,109 +235,62 @@ fn charged_blocks(pdag: &PhysicalDag, n: PhysNodeId) -> f64 {
     pdag.node(n).blocks.max(1.0)
 }
 
-/// Runs the greedy heuristic: iteratively materialize the candidate node
-/// with the largest benefit until no candidate improves the plan. An
-/// expired [`GreedyOptions::deadline`] ends the search early with the
-/// best-so-far set and `stats.degraded` set — not an error.
-///
-/// # Errors
-///
-/// Returns an [`MqoError`] only on injected faults (`mqo-chaos` seams
-/// `cost-propagation`, `extract`).
-pub fn greedy(ctx: &OptContext<'_>, opts: GreedyOptions) -> Result<Optimized, MqoError> {
-    let pdag = &ctx.pdag;
-    let mut stats = OptStats::default();
-    let candidates = collect_candidates(ctx, opts, &mut stats);
-    // The starting cost table: warm temps pre-materialized.
-    let mut state = CostState::seeded(pdag, &ctx.warm);
-    let mut cur_total = state.total(pdag);
-    let mut space_used = 0.0f64;
-    // score used for ranking: plain benefit, or benefit per (charged)
-    // block under a space budget (§8)
-    let score = |benefit: f64, n: PhysNodeId| -> f64 {
-        match opts.space_budget_blocks {
-            Some(_) => benefit / charged_blocks(pdag, n),
-            None => benefit,
-        }
-    };
-    let fits = |space_used: f64, n: PhysNodeId| -> bool {
-        match opts.space_budget_blocks {
-            Some(b) => space_used + charged_blocks(pdag, n) <= b + EPS,
-            None => true,
-        }
-    };
+impl Strategy for Greedy {
+    fn name(&self) -> &str {
+        "Greedy"
+    }
 
-    if opts.use_monotonicity {
-        // ---- Monotonicity heuristic (§4.3): lazy benefit re-evaluation.
-        // Initial upper bound: cost of the node (no materializations)
-        // times its maximum degree of sharing.
-        let mut heap: BinaryHeap<HeapEntry> = candidates
-            .iter()
-            .filter(|&&(n, _)| fits(space_used, n))
-            .map(|&(n, d)| HeapEntry {
-                // mqo-analyze: allow(panic-path): candidates are nodes of `ctx.pdag`, whose node count sizes the table
-                bound: score(state.table.node_cost[n.index()].secs() * d, n),
-                node: n,
-            })
-            .collect();
-        while let Some(top) = heap.pop() {
-            if deadline_expired(opts.deadline) {
-                stats.degraded = true;
-                break; // anytime search: keep the set committed so far
+    fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError> {
+        let opts = options.greedy;
+        let pdag = &ctx.pdag;
+        let mut stats = OptStats::default();
+        let candidates = collect_candidates(ctx, opts, &mut stats);
+        // The starting cost table: warm temps pre-materialized.
+        let mut state = CostState::seeded(pdag, &ctx.warm);
+        let mut cur_total = state.total(pdag);
+        let mut space_used = 0.0f64;
+        // score used for ranking: plain benefit, or benefit per (charged)
+        // block under a space budget (§8)
+        let score = |benefit: f64, n: PhysNodeId| -> f64 {
+            match opts.space_budget_blocks {
+                Some(_) => benefit / charged_blocks(pdag, n),
+                None => benefit,
             }
-            mqo_chaos::hit(Seam::CostPropagation)?;
-            if top.bound.is_nan() {
-                continue; // degenerate bound: discard the candidate
+        };
+        let fits = |space_used: f64, n: PhysNodeId| -> bool {
+            match opts.space_budget_blocks {
+                Some(b) => space_used + charged_blocks(pdag, n) <= b + EPS,
+                None => true,
             }
-            if top.bound <= EPS {
-                break;
-            }
-            if !fits(space_used, top.node) {
-                continue; // budget exhausted for this candidate: drop it
-            }
-            let b = score(
-                probe_on(
-                    pdag,
-                    &mut state,
-                    &mut stats,
-                    cur_total,
-                    top.node,
-                    opts.use_incremental,
-                ),
-                top.node,
-            );
-            let next_bound = heap.peek().map(|e| e.bound).unwrap_or(f64::NEG_INFINITY);
-            if b >= next_bound - 1e-12 {
-                // fresh benefit still on top: this is the true argmax
-                if b > EPS {
-                    commit_on(pdag, &mut state, &mut stats, top.node, opts.use_incremental);
-                    space_used += charged_blocks(pdag, top.node);
-                    cur_total = state.total(pdag);
-                } else {
-                    break; // best possible benefit is non-positive: stop
+        };
+
+        if opts.use_monotonicity {
+            // ---- Monotonicity heuristic (§4.3): lazy benefit re-evaluation.
+            // Initial upper bound: cost of the node (no materializations)
+            // times its maximum degree of sharing.
+            let mut heap: BinaryHeap<HeapEntry> = candidates
+                .iter()
+                .filter(|&&(n, _)| fits(space_used, n))
+                .map(|&(n, d)| HeapEntry {
+                    // mqo-analyze: allow(panic-path): candidates are nodes of `ctx.pdag`, whose node count sizes the table
+                    bound: score(state.table.node_cost[n.index()].secs() * d, n),
+                    node: n,
+                })
+                .collect();
+            while let Some(top) = heap.pop() {
+                if deadline_expired(options.deadline) {
+                    stats.degraded = true;
+                    break; // anytime search: keep the set committed so far
                 }
-            } else {
-                // re-insert with the fresh (tighter) bound
-                heap.push(HeapEntry {
-                    bound: b,
-                    node: top.node,
-                });
-            }
-        }
-    } else {
-        // ---- Plain greedy loop: recompute every candidate's benefit per
-        // round (the §6.3 ablation baseline).
-        let mut remaining = candidates;
-        loop {
-            if deadline_expired(opts.deadline) {
-                stats.degraded = true;
-                break;
-            }
-            mqo_chaos::hit(Seam::CostPropagation)?;
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &(n, _)) in remaining.iter().enumerate() {
-                if !fits(space_used, n) {
-                    continue;
+                mqo_chaos::hit(Seam::CostPropagation)?;
+                if top.bound.is_nan() {
+                    continue; // degenerate bound: discard the candidate
+                }
+                if top.bound <= EPS {
+                    break;
+                }
+                if !fits(space_used, top.node) {
+                    continue; // budget exhausted for this candidate: drop it
                 }
                 let b = score(
                     probe_on(
@@ -367,28 +298,73 @@ pub fn greedy(ctx: &OptContext<'_>, opts: GreedyOptions) -> Result<Optimized, Mq
                         &mut state,
                         &mut stats,
                         cur_total,
-                        n,
+                        top.node,
                         opts.use_incremental,
                     ),
-                    n,
+                    top.node,
                 );
-                if b > best.map(|(_, bb)| bb).unwrap_or(0.0) {
-                    best = Some((i, b));
+                let next_bound = heap.peek().map(|e| e.bound).unwrap_or(f64::NEG_INFINITY);
+                if b >= next_bound - 1e-12 {
+                    // fresh benefit still on top: this is the true argmax
+                    if b > EPS {
+                        commit_on(pdag, &mut state, &mut stats, top.node, opts.use_incremental);
+                        space_used += charged_blocks(pdag, top.node);
+                        cur_total = state.total(pdag);
+                    } else {
+                        break; // best possible benefit is non-positive: stop
+                    }
+                } else {
+                    // re-insert with the fresh (tighter) bound
+                    heap.push(HeapEntry {
+                        bound: b,
+                        node: top.node,
+                    });
                 }
             }
-            match best {
-                Some((i, b)) if b > EPS => {
-                    let (n, _) = remaining.swap_remove(i);
-                    commit_on(pdag, &mut state, &mut stats, n, opts.use_incremental);
-                    space_used += charged_blocks(pdag, n);
-                    cur_total = state.total(pdag);
+        } else {
+            // ---- Plain greedy loop: recompute every candidate's benefit per
+            // round (the §6.3 ablation baseline).
+            let mut remaining = candidates;
+            loop {
+                if deadline_expired(options.deadline) {
+                    stats.degraded = true;
+                    break;
                 }
-                _ => break,
+                mqo_chaos::hit(Seam::CostPropagation)?;
+                let mut best: Option<(usize, f64)> = None;
+                for (i, &(n, _)) in remaining.iter().enumerate() {
+                    if !fits(space_used, n) {
+                        continue;
+                    }
+                    let b = score(
+                        probe_on(
+                            pdag,
+                            &mut state,
+                            &mut stats,
+                            cur_total,
+                            n,
+                            opts.use_incremental,
+                        ),
+                        n,
+                    );
+                    if b > best.map(|(_, bb)| bb).unwrap_or(0.0) {
+                        best = Some((i, b));
+                    }
+                }
+                match best {
+                    Some((i, b)) if b > EPS => {
+                        let (n, _) = remaining.swap_remove(i);
+                        commit_on(pdag, &mut state, &mut stats, n, opts.use_incremental);
+                        space_used += charged_blocks(pdag, n);
+                        cur_total = state.total(pdag);
+                    }
+                    _ => break,
+                }
             }
         }
-    }
 
-    finish(ctx, state, stats)
+        finish(ctx, state, stats)
+    }
 }
 
 /// Extracts the final plan from the converged state.

@@ -29,9 +29,6 @@
 //! * [`Exhaustive`] — enumerates candidate subsets and serves as a
 //!   ground-truth oracle for small inputs (it is doubly exponential in
 //!   spirit; capped).
-//!
-//! The closed [`Algorithm`] enum and [`optimize`] remain as a thin legacy
-//! shim over the session API.
 
 mod consolidated;
 mod exhaustive;
@@ -44,66 +41,20 @@ mod volcano_ru;
 mod volcano_sh;
 
 pub use consolidated::PlanGraph;
-pub use exhaustive::{exhaustive, Exhaustive};
-pub use greedy::{greedy, Greedy, GreedyOptions};
+pub use exhaustive::Exhaustive;
+pub use greedy::{Greedy, GreedyOptions};
 pub use mqo_verify::VerifyLevel;
 pub use optimizer::{Expanded, Optimizer};
 pub use state::CostState;
 pub use strategy::{Registry, Strategy, StrategyError};
-pub use volcano::{volcano, Volcano};
-pub use volcano_ru::{volcano_ru, VolcanoRu};
-pub use volcano_sh::{volcano_sh, VolcanoSh};
+pub use volcano::Volcano;
+pub use volcano_ru::VolcanoRu;
+pub use volcano_sh::VolcanoSh;
 
 use mqo_catalog::Catalog;
 use mqo_cost::{Cost, CostParams};
 use mqo_dag::{Dag, DagConfig};
-use mqo_logical::Batch;
 use mqo_physical::{ExtractedPlan, MatSet, PhysicalDag};
-
-/// Which built-in optimization strategy to run.
-///
-/// **Legacy path.** This enum predates the open [`Strategy`]/[`Registry`]
-/// dispatch and is kept so existing call sites compile unchanged; each
-/// variant is a thin shim onto the registry name returned by
-/// [`Algorithm::name`]. New code should use [`Optimizer`] directly —
-/// it reuses one expanded DAG across strategies and admits strategies
-/// this enum will never know about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Plain Volcano: no sharing (the paper's baseline).
-    Volcano,
-    /// Volcano-SH (paper §3.2).
-    VolcanoSH,
-    /// Volcano-RU (paper §3.3); both query orders, cheaper kept.
-    VolcanoRU,
-    /// Greedy (paper §4) with all optimizations enabled.
-    Greedy,
-    /// Exhaustive subset search (oracle; small inputs only).
-    Exhaustive,
-}
-
-impl Algorithm {
-    /// All practical algorithms in the order the paper reports them.
-    pub const ALL: [Algorithm; 4] = [
-        Algorithm::Volcano,
-        Algorithm::VolcanoSH,
-        Algorithm::VolcanoRU,
-        Algorithm::Greedy,
-    ];
-
-    /// Display name matching the paper; also the [`Registry`] key of the
-    /// corresponding built-in strategy.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Volcano => "Volcano",
-            Algorithm::VolcanoSH => "Volcano-SH",
-            Algorithm::VolcanoRU => "Volcano-RU",
-            Algorithm::Greedy => "Greedy",
-            Algorithm::Exhaustive => "Exhaustive",
-        }
-    }
-}
 
 /// Tuning knobs for the optimizer run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -120,9 +71,9 @@ pub struct Options {
     /// `Boundaries` under `debug_assertions`, `Off` in release builds.
     pub verify: VerifyLevel,
     /// Cooperative wall-clock deadline for the search (the session's
-    /// resource governor sets it from `SessionOptions::time_budget`).
-    /// The anytime strategies (Greedy, KS15) check it at each probe
-    /// round; on expiry they commit the best materialization set found
+    /// resource governor sets it from `SessionOptions::time_budget`),
+    /// read by Greedy and KS15. These anytime strategies check it at
+    /// each probe round; on expiry they commit the best materialization set found
     /// so far and flag [`OptStats::degraded`]. `None` (the default)
     /// searches to convergence.
     pub deadline: Option<std::time::Instant>,
@@ -247,7 +198,8 @@ pub struct Optimized {
 }
 
 /// Everything derived from a batch that the strategies share: the
-/// expanded logical DAG and the fully instantiated physical DAG.
+/// expanded logical DAG and the fully instantiated physical DAG. Built
+/// by [`Optimizer::prepare`] and searched by [`Optimizer::search`].
 pub struct OptContext<'a> {
     /// The catalog.
     pub catalog: &'a Catalog,
@@ -266,61 +218,4 @@ pub struct OptContext<'a> {
     /// [`CostState`] at reuse cost and never charge their compute or
     /// materialization again; empty outside a warm-cache session.
     pub warm: MatSet,
-}
-
-impl<'a> OptContext<'a> {
-    /// Expands the DAG and builds the physical DAG for a batch.
-    ///
-    /// Equivalent to [`Optimizer::prepare`] with the same options;
-    /// retained for call sites that never touch the session API.
-    #[must_use]
-    pub fn build(batch: &Batch, catalog: &'a Catalog, options: &Options) -> Self {
-        Optimizer::with_options(catalog, *options).prepare(batch)
-    }
-}
-
-/// Optimizes `batch` with the chosen built-in algorithm.
-///
-/// **Legacy path**: one-shot entry point kept for compatibility. It
-/// delegates to an ephemeral [`Optimizer`] session, so each call expands
-/// the DAG afresh; to run several strategies over one batch, prepare the
-/// context once with [`Optimizer::prepare`] and call
-/// [`Optimizer::search`] per strategy instead.
-///
-/// ```
-/// use mqo_catalog::Catalog;
-/// use mqo_core::{optimize, Algorithm, Options};
-/// use mqo_expr::{Atom, Predicate};
-/// use mqo_logical::{Batch, LogicalPlan, Query};
-///
-/// let mut cat = Catalog::new();
-/// let a = cat.table("a").rows(10_000.0).int_key("ak").build();
-/// let b = cat.table("b").rows(20_000.0).int_key("bk")
-///     .int_uniform("afk", 0, 9_999).build();
-/// let pred = Predicate::atom(Atom::eq_cols(cat.col("a", "ak"), cat.col("b", "afk")));
-/// let q = LogicalPlan::scan(a).join(LogicalPlan::scan(b), pred);
-/// let batch = Batch::of(vec![
-///     Query::new("q1", q.clone()),
-///     Query::new("q2", q),
-/// ]);
-/// let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
-/// let opt = optimize(&batch, &cat, Algorithm::Greedy, &Options::new());
-/// assert!(opt.cost <= base.cost);
-/// ```
-///
-/// # Panics
-///
-/// Panics if a built-in strategy is missing from the registry — a build bug, not an input error.
-#[must_use]
-pub fn optimize(
-    batch: &Batch,
-    catalog: &Catalog,
-    algorithm: Algorithm,
-    options: &Options,
-) -> Optimized {
-    let optimizer = Optimizer::with_options(catalog, *options);
-    let ctx = optimizer.prepare(batch);
-    optimizer
-        .search(&ctx, algorithm.name())
-        .expect("built-in strategies are always registered")
 }

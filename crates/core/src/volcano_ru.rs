@@ -2,13 +2,19 @@
 
 use crate::consolidated::{sh_decide, subsumption_prepass, PlanGraph};
 use crate::state::CostState;
-use crate::volcano::volcano;
-use crate::{OptContext, OptStats, Optimized, Options, Strategy};
+use crate::{OptContext, OptStats, Optimized, Options, Strategy, Volcano};
 use mqo_physical::{MatSet, PhysNodeId, PhysicalDag};
 use mqo_util::{FxHashMap, MqoError};
 
-/// The Volcano-RU strategy (registry name `"Volcano-RU"`): wraps
-/// [`volcano_ru`].
+/// The Volcano-RU strategy (registry name `"Volcano-RU"`): optimize the
+/// queries in sequence; after each query, note which nodes of its best
+/// plan would be worth materializing *if used once more* and let later
+/// queries reuse them. A final Volcano-SH pass over the combined plan
+/// makes the actual materialization decisions. Both the given and the
+/// reverse query order are tried and the cheaper result returned
+/// (§3.3's ordering note).
+///
+/// Searching panics if the physical DAG has no pseudo-root op.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VolcanoRu;
 
@@ -17,36 +23,24 @@ impl Strategy for VolcanoRu {
         "Volcano-RU"
     }
 
-    fn search(&self, ctx: &OptContext<'_>, _options: &Options) -> Result<Optimized, MqoError> {
-        Ok(volcano_ru(ctx))
+    fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError> {
+        let forward = run_order(ctx, false);
+        let reverse = run_order(ctx, true);
+        // Volcano is RU's degenerate case (empty N); keeping it as a floor
+        // guarantees RU never loses to independent optimization even when a
+        // later query's plan banked on a speculative reuse that the final
+        // Volcano-SH pass declined to materialize.
+        let fallback = Volcano.search(ctx, options)?;
+        let mut best = forward;
+        for r in [reverse, fallback] {
+            // strict: of equally cheap results the earlier one is kept
+            if r.cost.total_cmp(&best.cost).is_lt() {
+                best = r;
+            }
+        }
+        best.stats.materialized = best.mat.len();
+        Ok(best)
     }
-}
-
-/// Volcano-RU: optimize the queries in sequence; after each query, note
-/// which nodes of its best plan would be worth materializing *if used
-/// once more* and let later queries reuse them. A final Volcano-SH pass
-/// over the combined plan makes the actual materialization decisions.
-/// Both the given and the reverse query order are tried and the cheaper
-/// result returned (§3.3's ordering note).
-///
-/// # Panics
-///
-/// Panics if the physical DAG has no pseudo-root op.
-#[must_use]
-pub fn volcano_ru(ctx: &OptContext<'_>) -> Optimized {
-    let forward = run_order(ctx, false);
-    let reverse = run_order(ctx, true);
-    // Volcano is RU's degenerate case (empty N); keeping it as a floor
-    // guarantees RU never loses to independent optimization even when a
-    // later query's plan banked on a speculative reuse that the final
-    // Volcano-SH pass declined to materialize.
-    let fallback = volcano(ctx);
-    let mut best = [forward, reverse, fallback]
-        .into_iter()
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .expect("three candidates");
-    best.stats.materialized = best.mat.len();
-    best
 }
 
 fn run_order(ctx: &OptContext<'_>, reversed: bool) -> Optimized {

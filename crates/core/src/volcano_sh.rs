@@ -5,8 +5,12 @@ use crate::{OptContext, OptStats, Optimized, Options, Strategy};
 use mqo_physical::{CostTable, MatSet};
 use mqo_util::MqoError;
 
-/// The Volcano-SH strategy (registry name `"Volcano-SH"`): wraps
-/// [`volcano_sh`].
+/// The Volcano-SH strategy (registry name `"Volcano-SH"`): run basic
+/// Volcano, consolidate the per-query best plans into one DAG-structured
+/// plan, then decide bottom-up which of its nodes to materialize. The
+/// subsumption pre-pass temporarily rewrites selections to derive from
+/// weaker ones; the undo pass reverts rewrites whose source did not get
+/// materialized.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VolcanoSh;
 
@@ -16,29 +20,19 @@ impl Strategy for VolcanoSh {
     }
 
     fn search(&self, ctx: &OptContext<'_>, _options: &Options) -> Result<Optimized, MqoError> {
-        Ok(volcano_sh(ctx))
-    }
-}
-
-/// Volcano-SH: run basic Volcano, consolidate the per-query best plans
-/// into one DAG-structured plan, then decide bottom-up which of its nodes
-/// to materialize. The subsumption pre-pass temporarily rewrites
-/// selections to derive from weaker ones; the undo pass reverts rewrites
-/// whose source did not get materialized.
-#[must_use]
-pub fn volcano_sh(ctx: &OptContext<'_>) -> Optimized {
-    let mut stats = OptStats::default();
-    let empty = MatSet::new();
-    let table = CostTable::compute(&ctx.pdag, &empty);
-    let mut graph = PlanGraph::consolidated(&ctx.pdag, &table, &empty);
-    subsumption_prepass(&ctx.pdag, &mut graph, &table);
-    let (mat, cost) = sh_decide(&ctx.pdag, &ctx.dag, &mut graph, &table, &mut stats);
-    stats.materialized = mat.len();
-    let plan = graph.into_plan(&ctx.pdag, &mat, cost);
-    Optimized {
-        plan,
-        mat,
-        cost,
-        stats,
+        let mut stats = OptStats::default();
+        let empty = MatSet::new();
+        let table = CostTable::compute(&ctx.pdag, &empty);
+        let mut graph = PlanGraph::consolidated(&ctx.pdag, &table, &empty);
+        subsumption_prepass(&ctx.pdag, &mut graph, &table);
+        let (mat, cost) = sh_decide(&ctx.pdag, &ctx.dag, &mut graph, &table, &mut stats);
+        stats.materialized = mat.len();
+        let plan = graph.into_plan(&ctx.pdag, &mat, cost);
+        Ok(Optimized {
+            plan,
+            mat,
+            cost,
+            stats,
+        })
     }
 }

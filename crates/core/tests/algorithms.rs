@@ -3,12 +3,15 @@
 //! sharing, nested-query weights, and the §6.3 ablation equivalences.
 
 use mqo_catalog::{Catalog, ColStats, ColType};
-use mqo_core::{optimize, Algorithm, GreedyOptions, Options};
+use mqo_core::{GreedyOptions, Optimized, Optimizer};
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, ParamId, Predicate, ScalarExpr};
 use mqo_logical::{Batch, LogicalPlan, Query};
 
-fn opts() -> Options {
-    Options::new()
+/// Prepares `batch` once and searches it with each named strategy.
+fn search<const N: usize>(cat: &Catalog, batch: &Batch, names: [&str; N]) -> [Optimized; N] {
+    let optimizer = Optimizer::new(cat);
+    let ctx = optimizer.prepare(batch);
+    names.map(|name| optimizer.search(&ctx, name).unwrap())
 }
 
 /// Catalog with four relations joined pairwise, used by Example 1.1.
@@ -79,17 +82,14 @@ fn shared_aggregate() -> (Catalog, Batch) {
 #[test]
 fn all_heuristics_beat_or_match_volcano() {
     for (cat, batch) in [example_11(), shared_aggregate()] {
-        let base = optimize(&batch, &cat, Algorithm::Volcano, &opts());
-        for alg in [
-            Algorithm::VolcanoSH,
-            Algorithm::VolcanoRU,
-            Algorithm::Greedy,
-        ] {
-            let r = optimize(&batch, &cat, alg, &opts());
+        let optimizer = Optimizer::new(&cat);
+        let ctx = optimizer.prepare(&batch);
+        let base = optimizer.search(&ctx, "Volcano").unwrap();
+        for name in ["Volcano-SH", "Volcano-RU", "Greedy"] {
+            let r = optimizer.search(&ctx, name).unwrap();
             assert!(
                 r.cost <= base.cost * 1.0001,
-                "{} produced {} > Volcano {}",
-                alg.name(),
+                "{name} produced {} > Volcano {}",
                 r.cost,
                 base.cost
             );
@@ -100,8 +100,7 @@ fn all_heuristics_beat_or_match_volcano() {
 #[test]
 fn greedy_shares_identical_aggregates() {
     let (cat, batch) = shared_aggregate();
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &opts());
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts());
+    let [base, g] = search(&cat, &batch, ["Volcano", "Greedy"]);
     assert!(g.stats.materialized >= 1, "greedy materialized nothing");
     // sharing an identical expensive query should save close to half
     assert!(
@@ -115,8 +114,7 @@ fn greedy_shares_identical_aggregates() {
 #[test]
 fn exhaustive_is_a_lower_bound_on_small_inputs() {
     let (cat, batch) = shared_aggregate();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts());
-    let e = optimize(&batch, &cat, Algorithm::Exhaustive, &opts());
+    let [g, e] = search(&cat, &batch, ["Greedy", "Exhaustive"]);
     assert!(
         e.cost <= g.cost * 1.0001,
         "exhaustive {} should not exceed greedy {}",
@@ -148,8 +146,7 @@ fn no_overlap_batch_degenerates_to_volcano() {
         Query::new("q1", mk(&cat, "t0", "t1")),
         Query::new("q2", mk(&cat, "t2", "t3")),
     ]);
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &opts());
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts());
+    let [base, g] = search(&cat, &batch, ["Volcano", "Greedy"]);
     assert_eq!(g.stats.sharable, 0);
     assert_eq!(g.stats.materialized, 0);
     assert!((g.cost.secs() - base.cost.secs()).abs() < 1e-9);
@@ -184,8 +181,7 @@ fn subsumption_sharing_on_overlapping_selections() {
         Query::new("q_lo", mk(800)),
         Query::new("q_hi", mk(900)),
     ]);
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &opts());
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts());
+    let [base, g] = search(&cat, &batch, ["Volcano", "Greedy"]);
     assert!(
         g.cost < base.cost,
         "subsumption sharing should pay: {} vs {}",
@@ -223,8 +219,7 @@ fn nested_query_weights_drive_materialization() {
             param: ParamId(0),
         }));
     let batch = Batch::of(vec![Query::invoked("inner", inner, 500.0)]);
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &opts());
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts());
+    let [base, g] = search(&cat, &batch, ["Volcano", "Greedy"]);
     assert!(g.stats.materialized >= 1, "invariant not materialized");
     assert!(
         g.cost.secs() < base.cost.secs() / 3.0,
@@ -250,9 +245,11 @@ fn monotonicity_ablation_preserves_plan_quality() {
     // §6.3: plans with and without the monotonicity heuristic had
     // "virtually the same cost".
     let (cat, batch) = shared_aggregate();
-    let with = optimize(&batch, &cat, Algorithm::Greedy, &opts());
-    let o = opts().with_greedy(GreedyOptions::new().with_monotonicity(false));
-    let without = optimize(&batch, &cat, Algorithm::Greedy, &o);
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let with = optimizer.search(&ctx, "Greedy").unwrap();
+    optimizer.options_mut().greedy = GreedyOptions::new().with_monotonicity(false);
+    let without = optimizer.search(&ctx, "Greedy").unwrap();
     assert!((with.cost.secs() - without.cost.secs()).abs() < 1e-6);
     // and the heuristic computes no MORE benefits than the plain loop
     assert!(with.stats.benefit_recomputations <= without.stats.benefit_recomputations);
@@ -261,9 +258,11 @@ fn monotonicity_ablation_preserves_plan_quality() {
 #[test]
 fn sharability_ablation_preserves_plan_quality() {
     let (cat, batch) = example_11();
-    let with = optimize(&batch, &cat, Algorithm::Greedy, &opts());
-    let o = opts().with_greedy(GreedyOptions::new().with_sharability(false));
-    let without = optimize(&batch, &cat, Algorithm::Greedy, &o);
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let with = optimizer.search(&ctx, "Greedy").unwrap();
+    optimizer.options_mut().greedy = GreedyOptions::new().with_sharability(false);
+    let without = optimizer.search(&ctx, "Greedy").unwrap();
     assert!((with.cost.secs() - without.cost.secs()).abs() < 1e-6);
     // sharability filtering must not lose candidates that matter, but it
     // must shrink the candidate pool
@@ -273,16 +272,18 @@ fn sharability_ablation_preserves_plan_quality() {
 #[test]
 fn incremental_ablation_same_answer() {
     let (cat, batch) = shared_aggregate();
-    let with = optimize(&batch, &cat, Algorithm::Greedy, &opts());
-    let o = opts().with_greedy(GreedyOptions::new().with_incremental(false));
-    let without = optimize(&batch, &cat, Algorithm::Greedy, &o);
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let with = optimizer.search(&ctx, "Greedy").unwrap();
+    optimizer.options_mut().greedy = GreedyOptions::new().with_incremental(false);
+    let without = optimizer.search(&ctx, "Greedy").unwrap();
     assert!((with.cost.secs() - without.cost.secs()).abs() < 1e-6);
 }
 
 #[test]
 fn volcano_ru_orders_give_valid_plan() {
     let (cat, batch) = example_11();
-    let ru = optimize(&batch, &cat, Algorithm::VolcanoRU, &opts());
+    let [ru] = search(&cat, &batch, ["Volcano-RU"]);
     assert!(ru.cost.is_finite());
     assert_eq!(ru.plan.query_roots.len(), 2);
 }
@@ -290,7 +291,7 @@ fn volcano_ru_orders_give_valid_plan() {
 #[test]
 fn stats_are_populated() {
     let (cat, batch) = shared_aggregate();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts());
+    let [g] = search(&cat, &batch, ["Greedy"]);
     assert!(g.stats.dag_groups > 0);
     assert!(g.stats.dag_ops > 0);
     assert!(g.stats.phys_nodes > 0);

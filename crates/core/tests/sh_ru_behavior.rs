@@ -3,10 +3,17 @@
 //! sensitivity and the never-worse-than-Volcano guarantee.
 
 use mqo_catalog::{Catalog, ColStats, ColType};
-use mqo_core::{optimize, volcano_sh, Algorithm, OptContext, Options, PlanGraph};
+use mqo_core::{Optimized, Optimizer, PlanGraph};
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, Predicate, ScalarExpr};
 use mqo_logical::{Batch, LogicalPlan, Query};
 use mqo_physical::{CostTable, MatSet};
+
+/// Prepares `batch` once and searches it with each named strategy.
+fn search<const N: usize>(cat: &Catalog, batch: &Batch, names: [&str; N]) -> [Optimized; N] {
+    let optimizer = Optimizer::new(cat);
+    let ctx = optimizer.prepare(batch);
+    names.map(|name| optimizer.search(&ctx, name).unwrap())
+}
 
 /// Two identical expensive aggregates plus a third query over a superset
 /// selection — exercises plain sharing and subsumption simultaneously.
@@ -57,7 +64,7 @@ fn setup() -> (Catalog, Batch) {
 #[test]
 fn consolidated_plan_counts_uses() {
     let (cat, batch) = setup();
-    let ctx = OptContext::build(&batch, &cat, &Options::new());
+    let ctx = Optimizer::new(&cat).prepare(&batch);
     let table = CostTable::compute(&ctx.pdag, &MatSet::new());
     let graph = PlanGraph::consolidated(&ctx.pdag, &table, &MatSet::new());
     // σ_{day≥100}(events) appears in agg_lo and join → some node must
@@ -75,23 +82,20 @@ fn consolidated_plan_counts_uses() {
 #[test]
 fn sh_never_worse_and_materializes_shared_scan_select() {
     let (cat, batch) = setup();
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
-    let ctx = OptContext::build(&batch, &cat, &Options::new());
-    let sh = volcano_sh(&ctx);
+    let [base, sh] = search(&cat, &batch, ["Volcano", "Volcano-SH"]);
     assert!(sh.cost <= base.cost * 1.0001, "{} > {}", sh.cost, base.cost);
 }
 
 #[test]
 fn ru_orders_can_differ_but_min_is_reported() {
     let (cat, batch) = setup();
-    let ru = optimize(&batch, &cat, Algorithm::VolcanoRU, &Options::new());
+    let [base, ru] = search(&cat, &batch, ["Volcano", "Volcano-RU"]);
     let rev = Batch::of(batch.queries.iter().rev().cloned().collect());
-    let ru_rev = optimize(&rev, &cat, Algorithm::VolcanoRU, &Options::new());
+    let [ru_rev] = search(&cat, &rev, ["Volcano-RU"]);
     // RU tries both orders internally; reversing the batch explores the
     // same pair of orders, so the reported minima must be close (exact
     // equality is not guaranteed: the final SH pass breaks ties by plan
     // construction order)
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
     assert!(ru.cost <= base.cost * 1.0001);
     assert!(ru_rev.cost <= base.cost * 1.0001);
     let (a, b) = (ru.cost.secs(), ru_rev.cost.secs());
@@ -102,8 +106,7 @@ fn ru_orders_can_differ_but_min_is_reported() {
 fn sh_handles_single_query_batch_gracefully() {
     let (cat, mut batch) = setup();
     batch.queries.truncate(1);
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
-    let sh = optimize(&batch, &cat, Algorithm::VolcanoSH, &Options::new());
+    let [base, sh] = search(&cat, &batch, ["Volcano", "Volcano-SH"]);
     // one query, no intra-query sharing here → SH equals Volcano
     assert!((sh.cost.secs() - base.cost.secs()).abs() < 1e-9);
     assert_eq!(sh.stats.materialized, 0);
@@ -130,8 +133,7 @@ fn sh_respects_weighted_queries() {
         )],
     );
     let batch = Batch::of(vec![Query::invoked("repeated", q, 50.0)]);
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
-    let sh = optimize(&batch, &cat, Algorithm::VolcanoSH, &Options::new());
+    let [base, sh] = search(&cat, &batch, ["Volcano", "Volcano-SH"]);
     assert!(sh.stats.materialized >= 1, "SH ignored invocation weights");
     assert!(
         sh.cost.secs() < base.cost.secs() / 10.0,
@@ -147,10 +149,12 @@ fn all_algorithms_agree_on_empty_sharing_potential() {
     let mut cat = Catalog::new();
     let t = cat.table("solo").rows(100.0).int_key("sk").build();
     let batch = Batch::single("solo", LogicalPlan::scan(t));
-    let costs: Vec<f64> = Algorithm::ALL
-        .iter()
-        .map(|&a| optimize(&batch, &cat, a, &Options::new()).cost.secs())
-        .collect();
+    let costs = search(
+        &cat,
+        &batch,
+        ["Volcano", "Volcano-SH", "Volcano-RU", "Greedy"],
+    )
+    .map(|r| r.cost.secs());
     for w in costs.windows(2) {
         assert!((w[0] - w[1]).abs() < 1e-12, "{costs:?}");
     }

@@ -2,7 +2,7 @@
 //! selects by benefit per unit space and never exceeds the budget.
 
 use mqo_catalog::{Catalog, ColStats, ColType};
-use mqo_core::{optimize, Algorithm, GreedyOptions, OptContext, Options};
+use mqo_core::{GreedyOptions, OptContext, Optimized, Optimizer};
 use mqo_expr::{AggExpr, AggFunc, Atom, Predicate, ScalarExpr};
 use mqo_logical::{Batch, LogicalPlan, Query};
 
@@ -41,15 +41,23 @@ fn setup() -> (Catalog, Batch) {
     )
 }
 
-fn with_budget(budget: Option<f64>) -> Options {
-    Options::new().with_greedy(GreedyOptions::new().with_space_budget_blocks(budget))
+/// Searches a prepared context with Greedy under a space budget.
+fn greedy_with_budget(
+    optimizer: &mut Optimizer<'_>,
+    ctx: &OptContext<'_>,
+    budget: Option<f64>,
+) -> Optimized {
+    optimizer.options_mut().greedy = GreedyOptions::new().with_space_budget_blocks(budget);
+    optimizer.search(ctx, "Greedy").unwrap()
 }
 
 #[test]
 fn zero_budget_degenerates_to_volcano() {
     let (cat, batch) = setup();
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &with_budget(Some(0.0)));
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let base = optimizer.search(&ctx, "Volcano").unwrap();
+    let g = greedy_with_budget(&mut optimizer, &ctx, Some(0.0));
     assert_eq!(g.stats.materialized, 0);
     assert!((g.cost.secs() - base.cost.secs()).abs() < 1e-9);
 }
@@ -57,8 +65,10 @@ fn zero_budget_degenerates_to_volcano() {
 #[test]
 fn generous_budget_matches_unbudgeted_greedy() {
     let (cat, batch) = setup();
-    let unbudgeted = optimize(&batch, &cat, Algorithm::Greedy, &Options::new());
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &with_budget(Some(1e12)));
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let unbudgeted = optimizer.search(&ctx, "Greedy").unwrap();
+    let g = greedy_with_budget(&mut optimizer, &ctx, Some(1e12));
     assert!((g.cost.secs() - unbudgeted.cost.secs()).abs() < 1e-6);
     assert_eq!(g.stats.materialized, unbudgeted.stats.materialized);
 }
@@ -66,19 +76,19 @@ fn generous_budget_matches_unbudgeted_greedy() {
 #[test]
 fn budget_is_respected_and_cost_is_sandwiched() {
     let (cat, batch) = setup();
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &Options::new());
-    let unbudgeted = optimize(&batch, &cat, Algorithm::Greedy, &Options::new());
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let base = optimizer.search(&ctx, "Volcano").unwrap();
+    let unbudgeted = optimizer.search(&ctx, "Greedy").unwrap();
     assert!(
         unbudgeted.stats.materialized > 0,
         "nothing shared — vacuous"
     );
 
     // find the unbudgeted plan's total footprint, then halve it
-    let opts = Options::new();
-    let ctx = OptContext::build(&batch, &cat, &opts);
     let full_blocks: f64 = unbudgeted.mat.iter().map(|m| ctx.pdag.node(m).blocks).sum();
     let budget = full_blocks / 2.0;
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &with_budget(Some(budget)));
+    let g = greedy_with_budget(&mut optimizer, &ctx, Some(budget));
     let used: f64 = g.mat.iter().map(|m| ctx.pdag.node(m).blocks).sum();
     assert!(used <= budget + 1e-6, "budget violated: {used} > {budget}");
     assert!(g.cost <= base.cost * 1.0001, "worse than volcano");
@@ -99,20 +109,20 @@ fn budget_is_respected_and_cost_is_sandwiched() {
 #[test]
 fn budget_exactly_charged_footprint_admits_the_full_set() {
     let (cat, batch) = setup();
-    let unbudgeted = optimize(&batch, &cat, Algorithm::Greedy, &Options::new());
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let unbudgeted = optimizer.search(&ctx, "Greedy").unwrap();
     assert!(
         unbudgeted.stats.materialized > 0,
         "nothing shared - vacuous"
     );
-    let opts = Options::new();
-    let ctx = OptContext::build(&batch, &cat, &opts);
     // the charged footprint: whole blocks, minimum one per temp
     let charged: f64 = unbudgeted
         .mat
         .iter()
         .map(|m| ctx.pdag.node(m).blocks.max(1.0))
         .sum();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &with_budget(Some(charged)));
+    let g = greedy_with_budget(&mut optimizer, &ctx, Some(charged));
     assert_eq!(g.stats.materialized, unbudgeted.stats.materialized);
     assert!((g.cost.secs() - unbudgeted.cost.secs()).abs() < 1e-9);
 }
@@ -120,13 +130,15 @@ fn budget_exactly_charged_footprint_admits_the_full_set() {
 #[test]
 fn budget_below_one_block_admits_nothing() {
     let (cat, batch) = setup();
-    let unbudgeted = optimize(&batch, &cat, Algorithm::Greedy, &Options::new());
+    let mut optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let unbudgeted = optimizer.search(&ctx, "Greedy").unwrap();
     assert!(
         unbudgeted.stats.materialized > 0,
         "nothing shared - vacuous"
     );
     // every temp is charged at least one whole block, by ranking AND by
     // admission - a budget under one block must admit nothing
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &with_budget(Some(0.99)));
+    let g = greedy_with_budget(&mut optimizer, &ctx, Some(0.99));
     assert_eq!(g.stats.materialized, 0);
 }

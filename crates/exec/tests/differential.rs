@@ -3,7 +3,7 @@
 //! plans — sharing is an optimization, never a semantic change.
 
 use mqo_catalog::{Catalog, ColStats, ColType};
-use mqo_core::{optimize, Algorithm, Options};
+use mqo_core::Optimizer;
 use mqo_exec::{execute_plan, generate_database, normalize_result, results_approx_equal};
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, Predicate, ScalarExpr};
 use mqo_logical::{Batch, LogicalPlan, Query};
@@ -71,32 +71,23 @@ fn shared_plans_return_identical_results() {
     let (cat, batch) = setup();
     let db = generate_database(&cat, 1234, usize::MAX);
     let params = FxHashMap::default();
-    let opts = Options::new();
 
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &opts);
-    let ctx_plan = |alg: Algorithm| optimize(&batch, &cat, alg, &opts);
-
-    // all algorithms execute against the same physical DAG shape; rebuild
-    // per run (the plan embeds physical op ids of its own pdag)
-    let base_ctx = mqo_core::OptContext::build(&batch, &cat, &opts);
-    let base_out = execute_plan(&cat, &base_ctx.pdag, &base.plan, &db, &params);
+    // every strategy searches, and executes against, one physical DAG
+    let optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let base = optimizer.search(&ctx, "Volcano").unwrap();
+    let base_out = execute_plan(&cat, &ctx.pdag, &base.plan, &db, &params);
     assert_eq!(base_out.results.len(), 2);
     assert!(base_out.rows_out > 0, "workload returned nothing");
 
-    for alg in [
-        Algorithm::VolcanoSH,
-        Algorithm::VolcanoRU,
-        Algorithm::Greedy,
-    ] {
-        let r = ctx_plan(alg);
-        let ctx = mqo_core::OptContext::build(&batch, &cat, &opts);
+    for name in ["Volcano-SH", "Volcano-RU", "Greedy"] {
+        let r = optimizer.search(&ctx, name).unwrap();
         let out = execute_plan(&cat, &ctx.pdag, &r.plan, &db, &params);
-        assert_eq!(out.results.len(), 2, "{}", alg.name());
+        assert_eq!(out.results.len(), 2, "{name}");
         for (qi, (a, b)) in base_out.results.iter().zip(out.results.iter()).enumerate() {
             assert!(
                 results_approx_equal(&normalize_result(a), &normalize_result(b), 1e-9),
-                "{} query {qi} diverged",
-                alg.name()
+                "{name} query {qi} diverged"
             );
         }
     }
@@ -107,9 +98,9 @@ fn greedy_plan_actually_materializes_and_reuses() {
     let (cat, batch) = setup();
     let db = generate_database(&cat, 99, usize::MAX);
     let params = FxHashMap::default();
-    let opts = Options::new();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts);
-    let ctx = mqo_core::OptContext::build(&batch, &cat, &opts);
+    let optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let g = optimizer.search(&ctx, "Greedy").unwrap();
     let out = execute_plan(&cat, &ctx.pdag, &g.plan, &db, &params);
     assert_eq!(out.temps_built, g.plan.materialized.len());
     if g.stats.materialized > 0 {
@@ -122,9 +113,9 @@ fn execution_is_deterministic() {
     let (cat, batch) = setup();
     let db = generate_database(&cat, 5, usize::MAX);
     let params = FxHashMap::default();
-    let opts = Options::new();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts);
-    let ctx = mqo_core::OptContext::build(&batch, &cat, &opts);
+    let optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let g = optimizer.search(&ctx, "Greedy").unwrap();
     let out1 = execute_plan(&cat, &ctx.pdag, &g.plan, &db, &params);
     let out2 = execute_plan(&cat, &ctx.pdag, &g.plan, &db, &params);
     for (a, b) in out1.results.iter().zip(out2.results.iter()) {
@@ -139,9 +130,9 @@ fn aggregate_results_match_manual_computation() {
     let (cat, batch) = setup();
     let db = generate_database(&cat, 2024, usize::MAX);
     let params = FxHashMap::default();
-    let opts = Options::new();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts);
-    let ctx = mqo_core::OptContext::build(&batch, &cat, &opts);
+    let optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    let g = optimizer.search(&ctx, "Greedy").unwrap();
     let out = execute_plan(&cat, &ctx.pdag, &g.plan, &db, &params);
 
     let dim = db.table(cat.table_by_name("dim").unwrap().id);

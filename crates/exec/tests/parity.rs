@@ -7,7 +7,7 @@
 //! pins the same bit-for-bit agreement on whole extracted plans.
 
 use mqo_catalog::{Catalog, ColId, ColStats, ColType, TableId};
-use mqo_core::{optimize, Algorithm, OptContext, Options};
+use mqo_core::Optimizer;
 use mqo_exec::ops::{self, Params};
 use mqo_exec::{
     execute_plan_seeded, execute_plan_with, generate_database, normalize_result, vops, Database,
@@ -969,11 +969,11 @@ fn assert_modes_agree(
 fn engine_modes_agree_bit_for_bit() {
     let (cat, batch) = star();
     let db = generate_database(&cat, 777, usize::MAX);
-    let opts = Options::new();
-    for alg in [Algorithm::Volcano, Algorithm::Greedy] {
-        let r = optimize(&batch, &cat, alg, &opts);
-        let ctx = OptContext::build(&batch, &cat, &opts);
-        assert_modes_agree(&cat, &ctx.pdag, &r.plan, &db, &format!("{alg:?}"));
+    let optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
+    for name in ["Volcano", "Greedy"] {
+        let r = optimizer.search(&ctx, name).unwrap();
+        assert_modes_agree(&cat, &ctx.pdag, &r.plan, &db, name);
     }
 }
 
@@ -1004,9 +1004,10 @@ fn project_of_select(
 ) -> (PhysicalDag, ExtractedPlan) {
     let q = LogicalPlan::scan(t).select(pred).project(cols);
     let batch = Batch::of(vec![Query::new("q", q)]);
-    let opts = Options::new();
-    let plan = optimize(&batch, cat, Algorithm::Volcano, &opts).plan;
-    (OptContext::build(&batch, cat, &opts).pdag, plan)
+    let optimizer = Optimizer::new(cat);
+    let ctx = optimizer.prepare(&batch);
+    let plan = optimizer.search(&ctx, "Volcano").unwrap().plan;
+    (ctx.pdag, plan)
 }
 
 /// The node and algorithm name of the selection the plan's `Project`

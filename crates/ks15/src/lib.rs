@@ -84,7 +84,6 @@ impl Strategy for Ks15Greedy {
 
     fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError> {
         let pdag = &ctx.pdag;
-        let deadline = options.greedy.deadline.or(options.deadline);
         let mut stats = OptStats::default();
 
         // Candidate pool: every physical variant of every sharable,
@@ -118,7 +117,7 @@ impl Strategy for Ks15Greedy {
         // The bi-directional sweep: each candidate is either committed
         // into X or discarded from Y, whichever gains more.
         for &n in &candidates {
-            if deadline_expired(deadline) {
+            if deadline_expired(options.deadline) {
                 // Anytime degradation: X holds every decision made so
                 // far; undecided candidates default to "not chosen",
                 // which is always a valid materialized set.
@@ -148,7 +147,7 @@ impl Strategy for Ks15Greedy {
         // then drops the best improving member; node-id order fixes both
         // the probe order and the argmax tie-break.
         loop {
-            if deadline_expired(deadline) {
+            if deadline_expired(options.deadline) {
                 stats.degraded = true;
                 break; // descent only improves; the current X is valid
             }
@@ -201,6 +200,7 @@ mod tests {
     use mqo_expr::{AggExpr, AggFunc, Atom, Predicate, ScalarExpr};
     use mqo_logical::{Batch, LogicalPlan, Query};
     use std::sync::Arc;
+    use std::time::Instant;
 
     /// Two identical expensive aggregates — the canonical sharing win.
     fn shared_aggregate() -> (Catalog, Batch) {
@@ -281,6 +281,25 @@ mod tests {
         assert!(ks.stats.cost_propagations > 0);
         assert!(ks.stats.search_time_secs > 0.0);
         assert!(ks.stats.dag_time_secs > 0.0);
+    }
+
+    /// Both anytime strategies read only `Options::deadline`: an expired
+    /// one degrades each search to a valid best-so-far plan, and `None`
+    /// degrades neither.
+    #[test]
+    fn expired_deadline_degrades_every_anytime_strategy() {
+        let (cat, batch) = shared_aggregate();
+        for (deadline, degraded) in [(Some(Instant::now()), true), (None, false)] {
+            let mut optimizer =
+                Optimizer::with_options(&cat, Options::new().with_deadline(deadline));
+            optimizer.register(Arc::new(Ks15Greedy)).unwrap();
+            let ctx = optimizer.prepare(&batch);
+            for name in ["Greedy", "KS15-Greedy"] {
+                let r = optimizer.search(&ctx, name).unwrap();
+                assert_eq!(r.stats.degraded, degraded, "{name} with {deadline:?}");
+                assert!(r.cost.is_finite(), "{name}: {}", r.cost);
+            }
+        }
     }
 
     /// Regression for the NaN candidate-ordering bug: the decreasing

@@ -10,7 +10,7 @@
 //! `MQO_FUZZ_CASES` overrides the number of queries (default 500; CI's
 //! matrix smoke runs use 100).
 
-use mqo_core::{optimize, Algorithm, OptContext, Options, VerifyLevel};
+use mqo_core::{Optimizer, Options, VerifyLevel};
 use mqo_exec::{execute_plan_with, generate_database, ExecMode, ExecOptions, ExecOutcome, Table};
 use mqo_expr::Value;
 use mqo_sql::{to_batch, QueryGen, SqlPlanner};
@@ -65,10 +65,10 @@ fn seeded_sql_queries_agree_across_exec_paths() {
     let mut catalog = w.catalog.clone();
     let mut gen = QueryGen::new(&w.catalog, 0x5eed_f022);
     let mut planner = SqlPlanner::new();
-    // Full verification on every fuzz case: each optimize() below checks
-    // the batch, DAG, physical DAG, cost table and extracted plan, and
-    // panics with a rendered diagnostic on any invariant violation.
-    let opts = Options::new().with_verify(VerifyLevel::Full);
+    // Full verification on every fuzz case: each prepare and search below
+    // checks the batch, DAG, physical DAG, cost table and extracted plan,
+    // and panics with a rendered diagnostic on any invariant violation.
+    let options = Options::new().with_verify(VerifyLevel::Full);
     let params = FxHashMap::default();
 
     let mut done = 0usize;
@@ -86,8 +86,9 @@ fn seeded_sql_queries_agree_across_exec_paths() {
             .unwrap_or_else(|e| panic!("generated SQL failed to plan:\n{sql}\n{}", e.render(&sql)));
         let batch = to_batch(&planned);
 
-        let r = optimize(&batch, &catalog, Algorithm::Greedy, &opts);
-        let ctx = OptContext::build(&batch, &catalog, &opts);
+        let optimizer = Optimizer::with_options(&catalog, options);
+        let ctx = optimizer.prepare(&batch);
+        let r = optimizer.search(&ctx, "Greedy").unwrap();
         let row = execute_plan_with(
             &catalog,
             &ctx.pdag,

@@ -5,7 +5,7 @@
 //! fig6–fig10 workloads, for both the unshared Volcano plan and the
 //! shared Greedy plan, at the default and the degenerate batch size.
 
-use mqo_core::{optimize, Algorithm, OptContext, Options, VerifyLevel};
+use mqo_core::{Optimizer, Options, VerifyLevel};
 use mqo_exec::{execute_plan_with, generate_database, ExecMode, ExecOptions, ExecOutcome, Table};
 use mqo_expr::Value;
 use mqo_util::FxHashMap;
@@ -44,13 +44,13 @@ fn assert_outcomes_identical(row: &ExecOutcome, vec: &ExecOutcome, label: &str) 
 }
 
 fn run_parity(batch: &mqo_logical::Batch, catalog: &mqo_catalog::Catalog, seed: u64, label: &str) {
-    // every optimize() verifies its IRs at Full and panics on violation
-    let opts = Options::new().with_verify(VerifyLevel::Full);
+    // every stage verifies its IRs at Full and panics on violation
+    let optimizer = Optimizer::with_options(catalog, Options::new().with_verify(VerifyLevel::Full));
+    let ctx = optimizer.prepare(batch);
     let db = generate_database(catalog, seed, usize::MAX);
     let params = FxHashMap::default();
-    for alg in [Algorithm::Volcano, Algorithm::Greedy] {
-        let r = optimize(batch, catalog, alg, &opts);
-        let ctx = OptContext::build(batch, catalog, &opts);
+    for name in ["Volcano", "Greedy"] {
+        let r = optimizer.search(&ctx, name).unwrap();
         let row = execute_plan_with(
             catalog,
             &ctx.pdag,
@@ -76,11 +76,7 @@ fn run_parity(batch: &mqo_logical::Batch, catalog: &mqo_catalog::Catalog, seed: 
                     ..ExecOptions::default()
                 },
             );
-            assert_outcomes_identical(
-                &row,
-                &vec,
-                &format!("{label}/{} batch={batch_rows}", alg.name()),
-            );
+            assert_outcomes_identical(&row, &vec, &format!("{label}/{name} batch={batch_rows}"));
         }
     }
 }
@@ -156,10 +152,10 @@ fn plan_slices_execute_like_the_full_dag() {
         } else {
             &tpcd_db
         };
-        let optimizer = mqo_core::Optimizer::with_options(catalog, Options::new());
+        let optimizer = Optimizer::new(catalog);
         let ctx = optimizer.prepare(batch);
-        for alg in Algorithm::ALL {
-            let plan = optimizer.search(&ctx, alg.name()).unwrap().plan;
+        for alg in ["Volcano", "Volcano-SH", "Volcano-RU", "Greedy"] {
+            let plan = optimizer.search(&ctx, alg).unwrap().plan;
             let (slice, sliced) = ctx.pdag.plan_slice(&plan);
             for (mode, batch_rows) in engines {
                 let exec = ExecOptions {
@@ -172,7 +168,7 @@ fn plan_slices_execute_like_the_full_dag() {
                 assert_outcomes_identical(
                     &full,
                     &cut,
-                    &format!("{name}/{} {mode:?} batch={batch_rows} (slice)", alg.name()),
+                    &format!("{name}/{alg} {mode:?} batch={batch_rows} (slice)"),
                 );
             }
         }

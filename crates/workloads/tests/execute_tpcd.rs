@@ -4,18 +4,18 @@
 //! (indexed selects, merge joins, indexed NL joins, temp probes,
 //! re-aggregation derivations).
 
-use mqo_core::{optimize, Algorithm, OptContext, Options};
+use mqo_core::Optimizer;
 use mqo_exec::{execute_plan, generate_database, normalize_result, results_approx_equal};
 use mqo_util::FxHashMap;
 use mqo_workloads::Tpcd;
 
 fn run_both(batch: &mqo_logical::Batch, w: &Tpcd) {
-    let opts = Options::new();
     let db = generate_database(&w.catalog, 20_260, usize::MAX);
     let params = FxHashMap::default();
-    let base = optimize(batch, &w.catalog, Algorithm::Volcano, &opts);
-    let greedy = optimize(batch, &w.catalog, Algorithm::Greedy, &opts);
-    let ctx = OptContext::build(batch, &w.catalog, &opts);
+    let optimizer = Optimizer::new(&w.catalog);
+    let ctx = optimizer.prepare(batch);
+    let base = optimizer.search(&ctx, "Volcano").unwrap();
+    let greedy = optimizer.search(&ctx, "Greedy").unwrap();
     let a = execute_plan(&w.catalog, &ctx.pdag, &base.plan, &db, &params);
     let b = execute_plan(&w.catalog, &ctx.pdag, &greedy.plan, &db, &params);
     assert_eq!(a.results.len(), b.results.len());
@@ -66,11 +66,11 @@ fn results_are_nonempty_where_expected() {
     // with suppliers with overwhelming probability)
     let w = Tpcd::new(0.01);
     let batch = w.q11();
-    let opts = Options::new();
     let db = generate_database(&w.catalog, 1, usize::MAX);
     let params = FxHashMap::default();
-    let g = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
-    let ctx = OptContext::build(&batch, &w.catalog, &opts);
+    let optimizer = Optimizer::new(&w.catalog);
+    let ctx = optimizer.prepare(&batch);
+    let g = optimizer.search(&ctx, "Greedy").unwrap();
     let out = execute_plan(&w.catalog, &ctx.pdag, &g.plan, &db, &params);
     assert!(!out.results[0].is_empty(), "Q11 by-part result empty");
     assert_eq!(out.results[1].len(), 1, "Q11 total must be a single row");

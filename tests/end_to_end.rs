@@ -2,7 +2,7 @@
 //! physical DAG → MQO algorithms → execution, across crates.
 
 use mqo::catalog::{Catalog, ColStats, ColType};
-use mqo::core::{optimize, Algorithm, OptContext, Options};
+use mqo::core::{Optimized, Optimizer, Options};
 use mqo::exec::{execute_plan, generate_database, normalize_result, results_approx_equal};
 use mqo::expr::{AggExpr, AggFunc, Atom, CmpOp, Predicate, ScalarExpr};
 use mqo::logical::{validate, Batch, LogicalPlan, Query};
@@ -87,6 +87,18 @@ fn mixed_batch() -> (Catalog, Batch) {
     )
 }
 
+/// Prepares `batch` once and searches it with each named strategy.
+fn search<const N: usize>(
+    cat: &Catalog,
+    batch: &Batch,
+    options: Options,
+    names: [&str; N],
+) -> [Optimized; N] {
+    let optimizer = Optimizer::with_options(cat, options);
+    let ctx = optimizer.prepare(batch);
+    names.map(|name| optimizer.search(&ctx, name).unwrap())
+}
+
 #[test]
 fn full_pipeline_all_algorithms_agree_on_results() {
     let (cat, batch) = mixed_batch();
@@ -95,34 +107,26 @@ fn full_pipeline_all_algorithms_agree_on_results() {
     }
     let db = generate_database(&cat, 77, usize::MAX);
     let params = FxHashMap::default();
-    let opts = Options::new();
+    let optimizer = Optimizer::new(&cat);
+    let ctx = optimizer.prepare(&batch);
 
-    let base = optimize(&batch, &cat, Algorithm::Volcano, &opts);
-    let base_ctx = OptContext::build(&batch, &cat, &opts);
-    let base_out = execute_plan(&cat, &base_ctx.pdag, &base.plan, &db, &params);
+    let base = optimizer.search(&ctx, "Volcano").unwrap();
+    let base_out = execute_plan(&cat, &ctx.pdag, &base.plan, &db, &params);
     assert!(base_out.rows_out > 0);
 
-    for alg in [
-        Algorithm::VolcanoSH,
-        Algorithm::VolcanoRU,
-        Algorithm::Greedy,
-        Algorithm::Exhaustive,
-    ] {
-        let r = optimize(&batch, &cat, alg, &opts);
+    for name in ["Volcano-SH", "Volcano-RU", "Greedy", "Exhaustive"] {
+        let r = optimizer.search(&ctx, name).unwrap();
         assert!(
             r.cost <= base.cost * 1.0001,
-            "{}: {} > {}",
-            alg.name(),
+            "{name}: {} > {}",
             r.cost,
             base.cost
         );
-        let ctx = OptContext::build(&batch, &cat, &opts);
         let out = execute_plan(&cat, &ctx.pdag, &r.plan, &db, &params);
         for (qi, (a, b)) in base_out.results.iter().zip(out.results.iter()).enumerate() {
             assert!(
                 results_approx_equal(&normalize_result(a), &normalize_result(b), 1e-9),
-                "{} query {qi} diverged",
-                alg.name()
+                "{name} query {qi} diverged"
             );
         }
     }
@@ -133,9 +137,7 @@ fn greedy_matches_exhaustive_on_small_batch() {
     // the paper argues greedy approximates the exhaustive optimum; on a
     // small candidate space they should be close
     let (cat, batch) = mixed_batch();
-    let opts = Options::new();
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts);
-    let e = optimize(&batch, &cat, Algorithm::Exhaustive, &opts);
+    let [g, e] = search(&cat, &batch, Options::new(), ["Greedy", "Exhaustive"]);
     assert!(e.cost <= g.cost * 1.0001);
     assert!(
         g.cost.secs() <= e.cost.secs() * 1.10,
@@ -150,11 +152,11 @@ fn workload_figures_have_paper_shape() {
     // condensed assertions of every figure's qualitative claim
     let w = Tpcd::new(1.0);
     let opts = Options::new();
+    let vg = ["Volcano", "Greedy"];
 
     // Figure 6: greedy dominates on stand-alone queries
     for (name, batch) in w.standalone() {
-        let v = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts).cost;
-        let g = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts).cost;
+        let [v, g] = search(&w.catalog, &batch, opts, vg).map(|r| r.cost);
         assert!(g.secs() < v.secs() * 0.8, "{name}: {g} vs {v}");
     }
 
@@ -162,9 +164,13 @@ fn workload_figures_have_paper_shape() {
     let mut prev = 0.0;
     for i in 1..=3 {
         let batch = w.bq(i);
-        let v = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts).cost;
-        let s = optimize(&batch, &w.catalog, Algorithm::VolcanoSH, &opts).cost;
-        let g = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts).cost;
+        let [v, s, g] = search(
+            &w.catalog,
+            &batch,
+            opts,
+            ["Volcano", "Volcano-SH", "Greedy"],
+        )
+        .map(|r| r.cost);
         assert!(v.secs() > prev);
         prev = v.secs();
         assert!(g <= s && s <= v);
@@ -172,16 +178,15 @@ fn workload_figures_have_paper_shape() {
 
     // Figure 9/10: scale-up — linear-ish DAG growth, greedy wins, stats populated
     let sc = Scaleup::new(2_000);
-    let r1 = optimize(&sc.cq(1), &sc.catalog, Algorithm::Greedy, &opts);
-    let r3 = optimize(&sc.cq(3), &sc.catalog, Algorithm::Greedy, &opts);
+    let [r1] = search(&sc.catalog, &sc.cq(1), opts, ["Greedy"]);
+    let [r3] = search(&sc.catalog, &sc.cq(3), opts, ["Greedy"]);
     assert!(r3.stats.dag_groups > 2 * r1.stats.dag_groups);
     assert!(r3.stats.dag_groups < 8 * r1.stats.dag_groups);
     assert!(r3.stats.cost_propagations > r1.stats.cost_propagations);
 
     // §6.4: no-overlap batch is pure overhead
     let (cat, batch) = no_overlap();
-    let v = optimize(&batch, &cat, Algorithm::Volcano, &opts);
-    let g = optimize(&batch, &cat, Algorithm::Greedy, &opts);
+    let [v, g] = search(&cat, &batch, opts, vg);
     assert_eq!(g.stats.materialized, 0);
     assert!((g.cost.secs() - v.cost.secs()).abs() < 1e-9);
 }
@@ -195,8 +200,7 @@ fn memory_sweep_preserves_relative_gains() {
     for mb in [6u64, 32, 128] {
         let mut opts = Options::new();
         opts.params = mqo::cost::CostParams::with_memory_mb(mb);
-        let v = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts).cost;
-        let g = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts).cost;
+        let [v, g] = search(&w.catalog, &batch, opts, ["Volcano", "Greedy"]).map(|r| r.cost);
         ratios.push(v.secs() / g.secs());
     }
     let (lo, hi) = (
@@ -213,13 +217,11 @@ fn memory_sweep_preserves_relative_gains() {
 fn scale_grows_benefit_not_opt_time() {
     // §6.4: BQ3 at scale 1 vs scale 10 — absolute savings grow ~linearly,
     // optimization stays in the same ballpark
-    let opts = Options::new();
     let (mut savings, mut times) = (Vec::new(), Vec::new());
     for scale in [1.0, 10.0] {
         let w = Tpcd::new(scale);
         let batch = w.bq(3);
-        let v = optimize(&batch, &w.catalog, Algorithm::Volcano, &opts);
-        let g = optimize(&batch, &w.catalog, Algorithm::Greedy, &opts);
+        let [v, g] = search(&w.catalog, &batch, Options::new(), ["Volcano", "Greedy"]);
         savings.push(v.cost.secs() - g.cost.secs());
         times.push(g.stats.total_time_secs());
     }

@@ -3,7 +3,7 @@
 //! curated workloads.
 
 use mqo::catalog::Catalog;
-use mqo::core::{optimize, Algorithm, CostState, OptStats, Options};
+use mqo::core::{CostState, OptStats, Optimizer};
 use mqo::dag::{sharable_groups, Dag, DagConfig};
 use mqo::exec::{execute_plan, generate_database, normalize_result, results_approx_equal};
 use mqo::expr::{Atom, CmpOp, Predicate};
@@ -93,14 +93,15 @@ proptest! {
     #[test]
     fn heuristics_never_worse_than_volcano(w in chain_workload()) {
         let (cat, batch) = build(&w);
-        let opts = Options::new();
-        let base = optimize(&batch, &cat, Algorithm::Volcano, &opts);
+        let optimizer = Optimizer::new(&cat);
+        let ctx = optimizer.prepare(&batch);
+        let base = optimizer.search(&ctx, "Volcano").unwrap();
         prop_assert!(base.cost.is_finite());
-        for alg in [Algorithm::VolcanoSH, Algorithm::VolcanoRU, Algorithm::Greedy] {
-            let r = optimize(&batch, &cat, alg, &opts);
+        for name in ["Volcano-SH", "Volcano-RU", "Greedy"] {
+            let r = optimizer.search(&ctx, name).unwrap();
             prop_assert!(
                 r.cost <= base.cost * 1.0001,
-                "{} {} > {}", alg.name(), r.cost, base.cost
+                "{} {} > {}", name, r.cost, base.cost
             );
         }
     }
@@ -144,13 +145,13 @@ proptest! {
     #[test]
     fn shared_execution_matches_unshared(w in chain_workload(), seed in any::<u32>()) {
         let (cat, batch) = build(&w);
-        let opts = Options::new();
         let db = generate_database(&cat, seed as u64, 600);
         let params = FxHashMap::default();
 
-        let base = optimize(&batch, &cat, Algorithm::Volcano, &opts);
-        let greedy = optimize(&batch, &cat, Algorithm::Greedy, &opts);
-        let ctx = mqo::core::OptContext::build(&batch, &cat, &opts);
+        let optimizer = Optimizer::new(&cat);
+        let ctx = optimizer.prepare(&batch);
+        let base = optimizer.search(&ctx, "Volcano").unwrap();
+        let greedy = optimizer.search(&ctx, "Greedy").unwrap();
         let a = execute_plan(&cat, &ctx.pdag, &base.plan, &db, &params);
         let b = execute_plan(&cat, &ctx.pdag, &greedy.plan, &db, &params);
         prop_assert_eq!(a.results.len(), b.results.len());
