@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for the execution engine: shared vs
 //! unshared execution (the Figure 7 mechanism), the vectorized vs
-//! row-at-a-time operator paths (`vec_exec`), the `MQO_BATCH_ROWS`
-//! knob, the borrow-based `eval_pred` hot path, the four kernels that
-//! read `Int` key images (`nl_join`'s one-pass equi probe, `sort_by`'s
-//! radix sort, `merge_join`'s key groups, `sort_aggregate`'s group
-//! boundaries) and a filter pipelined into its projection
-//! (`filter_project`) at the sizes the `batch-cold` workload runs them.
+//! row-at-a-time operator paths (`vec_exec`), the borrow-based
+//! `eval_pred` hot path, the four kernels that read `Int` key images
+//! (`nl_join`'s one-pass equi probe, `sort_by`'s radix sort,
+//! `merge_join`'s key groups, `sort_aggregate`'s group boundaries) and a
+//! filter pipelined into its projection (`filter_project`) at the sizes
+//! the `batch-cold` workload runs them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_core::Optimizer;
@@ -68,7 +68,6 @@ fn bench_vec_exec(c: &mut Criterion) {
                             &params,
                             ExecOptions {
                                 mode,
-                                batch_rows: 1024,
                                 ..ExecOptions::default()
                             },
                         )
@@ -77,30 +76,6 @@ fn bench_vec_exec(c: &mut Criterion) {
                 });
             });
         }
-    }
-    // the MQO_BATCH_ROWS knob, swept on one representative execution
-    let ctx = optimizer.prepare(&w.q15());
-    let greedy = optimizer.search(&ctx, "Greedy").unwrap();
-    for batch_rows in [1usize, 64, 1024, 8192] {
-        group.bench_function(format!("Q15/vec_batch{batch_rows}"), |b| {
-            b.iter(|| {
-                black_box(
-                    execute_plan_with(
-                        &w.catalog,
-                        &ctx.pdag,
-                        &greedy.plan,
-                        &db,
-                        &params,
-                        ExecOptions {
-                            mode: ExecMode::Vectorized,
-                            batch_rows,
-                            ..ExecOptions::default()
-                        },
-                    )
-                    .rows_out,
-                )
-            });
-        });
     }
     group.finish();
 }
@@ -160,7 +135,7 @@ fn bench_typed_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("nl_join");
     group.sample_size(10);
     group.bench_function("equi 479x60000", |b| {
-        b.iter(|| black_box(vops::nl_join(&outer, &inner, &pred, &params, 1024).len()));
+        b.iter(|| black_box(vops::nl_join(&outer, &inner, &pred, &params).len()));
     });
     group.finish();
 
@@ -187,7 +162,7 @@ fn bench_typed_kernels(c: &mut Criterion) {
     group.bench_function("int 60000x15000", |b| {
         b.iter(|| {
             let (lk, rk, t) = ([ColId(0)], [ColId(10)], Predicate::true_());
-            black_box(vops::merge_join(&left, &right, &lk, &rk, &t, &params, 1024).len())
+            black_box(vops::merge_join(&left, &right, &lk, &rk, &t, &params).len())
         });
     });
     group.finish();

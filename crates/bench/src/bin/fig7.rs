@@ -86,8 +86,8 @@ fn main() {
         ]);
     }
     let mode = match exec.mode {
-        ExecMode::Row => "row".to_string(),
-        ExecMode::Vectorized => format!("vec, batch {}", exec.batch_rows),
+        ExecMode::Row => "row",
+        ExecMode::Vectorized => "vec",
     };
     t.print(&format!(
         "Figure 7: execution on the bundled engine (scale {scale}, {mode}), measured vs estimated"

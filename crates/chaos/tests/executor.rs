@@ -135,8 +135,7 @@ fn mem_budget_charges_only_materialized_outputs() {
     let free = run(None);
     let scan = base.approx_bytes();
     let projected = free.results[0].approx_bytes();
-    let full_width =
-        vops::filter(&base, &pred(CmpOp::Lt), &FxHashMap::default(), 1024).approx_bytes();
+    let full_width = vops::filter(&base, &pred(CmpOp::Lt), &FxHashMap::default()).approx_bytes();
     assert!(
         full_width > 4 * projected,
         "the pad column makes the Filter wide"

@@ -7,8 +7,8 @@
 //! (batched selection vectors over typed columns, [`crate::vops`]) and
 //! the legacy **row-at-a-time** path ([`crate::ops`], kept both as a
 //! migration shim and as the differential oracle for the batched
-//! operators). `MQO_EXEC_MODE=row|vec` and `MQO_BATCH_ROWS=n` select
-//! them from the environment; [`execute_plan_with`] does so explicitly.
+//! operators). `MQO_EXEC_MODE=row|vec` selects one from the
+//! environment; [`execute_plan_with`] does so explicitly.
 //!
 //! On the vectorized path a selection (`Filter`, `IndexedSelect`,
 //! `TempIndexedSelect`) read directly by a `Project` is pipelined into
@@ -31,9 +31,6 @@ use mqo_util::{ErrorStage, FxHashMap, MqoError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default number of rows per execution batch.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
 /// Which operator implementations the engine drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
@@ -49,9 +46,6 @@ pub enum ExecMode {
 pub struct ExecOptions {
     /// Operator implementation to drive.
     pub mode: ExecMode,
-    /// Rows per batch for the vectorized path (≥ 1; 1 is the degenerate
-    /// tuple-at-a-time batching the parity suite exercises).
-    pub batch_rows: usize,
     /// Cooperative wall-clock deadline (the session's resource governor
     /// sets it). Checked at every operator-evaluation boundary; on
     /// expiry the *query* aborts with a `TimeBudgetExpired` error while
@@ -69,7 +63,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             mode: ExecMode::Vectorized,
-            batch_rows: DEFAULT_BATCH_ROWS,
             deadline: None,
             mem_budget_bytes: None,
         }
@@ -77,90 +70,46 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Reads `MQO_EXEC_MODE` (`row` | `vec`, default `vec`) and
-    /// `MQO_BATCH_ROWS` (a positive integer, default 1024). Both
-    /// panic on malformed values — a typo'd knob silently running the
-    /// default configuration would report green for a matrix leg that
-    /// never executed.
-    ///
-    /// The environment is parsed **once per process** (a `OnceLock`):
-    /// per-plan execution used to re-read and re-parse both variables on
-    /// every call, which a serving session submitting thousands of
-    /// batches turns into measurable syscall noise. Callers that need
-    /// per-call knobs (a session's `SessionOptions`, the parity suites)
-    /// pass explicit [`ExecOptions`] — explicit options always take
-    /// precedence because [`execute_plan_with`] never consults the
+    /// Reads `MQO_EXEC_MODE` (`row` | `vec`, default `vec`) once per
+    /// process, strictly: per-plan execution must not re-read the
+    /// environment on every call, and a typo'd knob silently running the
+    /// default engine would report green for a matrix leg that never
+    /// executed. Callers that need per-call knobs (a session's
+    /// `SessionOptions`, the parity suites) pass explicit
+    /// [`ExecOptions`] — [`execute_plan_with`] never consults the
     /// environment at all.
-    pub fn from_env() -> Self {
-        static CACHED: std::sync::OnceLock<ExecOptions> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(Self::read_env)
-    }
-
-    /// Parses the environment directly, bypassing the process-lifetime
-    /// cache (tests that mutate `MQO_*` mid-process want this).
     ///
     /// # Panics
     ///
-    /// Panics if `MQO_EXEC_MODE` or `MQO_BATCH_ROWS` is set to an unrecognized value.
-    pub fn read_env() -> Self {
-        let mode = match std::env::var("MQO_EXEC_MODE").ok().as_deref() {
-            Some("row") => ExecMode::Row,
-            Some("vec") | Some("vectorized") | None | Some("") => ExecMode::Vectorized,
-            Some(other) => panic!("MQO_EXEC_MODE must be `row` or `vec`, got `{other}`"),
-        };
-        let batch_rows = match std::env::var("MQO_BATCH_ROWS").ok().as_deref() {
-            None | Some("") => DEFAULT_BATCH_ROWS,
-            Some(s) => match s.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => panic!("MQO_BATCH_ROWS must be a positive integer, got `{s}`"),
-            },
-        };
-        ExecOptions {
-            mode,
-            batch_rows,
-            ..ExecOptions::default()
+    /// Panics if `MQO_EXEC_MODE` is set to an unrecognized value.
+    pub fn from_env() -> Self {
+        let (opts, fell_back) = Self::lenient_from_env();
+        if fell_back {
+            let bad = std::env::var("MQO_EXEC_MODE").unwrap_or_default();
+            panic!("MQO_EXEC_MODE must be `row` or `vec`, got `{bad}`");
         }
+        opts
     }
 
     /// Like [`ExecOptions::from_env`], but *lenient*: a malformed
-    /// `MQO_EXEC_MODE` or `MQO_BATCH_ROWS` yields the defaults instead
-    /// of a panic, with the second tuple element `true` so the caller
-    /// can count the fallback (see `SessionStats::env_fallbacks`). A
-    /// serving session must not die to a typo'd environment knob;
-    /// the figure binaries keep the strict [`ExecOptions::from_env`]
-    /// so a typo'd matrix leg still fails loudly.
-    ///
-    /// Cached once per process, like `from_env`.
+    /// `MQO_EXEC_MODE` yields the default engine instead of a panic,
+    /// with the second tuple element `true` so the caller can count the
+    /// fallback (see `SessionStats::env_fallbacks`). A serving session
+    /// must not die to a typo'd environment knob. The one place the
+    /// variable's values are matched; cached once per process.
     pub fn lenient_from_env() -> (Self, bool) {
         static CACHED: std::sync::OnceLock<(ExecOptions, bool)> = std::sync::OnceLock::new();
         *CACHED.get_or_init(|| {
-            let mut fell_back = false;
-            let mode = match std::env::var("MQO_EXEC_MODE").ok().as_deref() {
-                Some("row") => ExecMode::Row,
-                Some("vec") | Some("vectorized") | None | Some("") => ExecMode::Vectorized,
-                Some(_) => {
-                    fell_back = true;
-                    ExecMode::Vectorized
-                }
+            let (mode, fell_back) = match std::env::var("MQO_EXEC_MODE").ok().as_deref() {
+                Some("row") => (ExecMode::Row, false),
+                Some("vec") | Some("vectorized") | None | Some("") => (ExecMode::Vectorized, false),
+                Some(_) => (ExecMode::Vectorized, true),
             };
-            let batch_rows = match std::env::var("MQO_BATCH_ROWS").ok().as_deref() {
-                None | Some("") => DEFAULT_BATCH_ROWS,
-                Some(s) => match s.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        fell_back = true;
-                        DEFAULT_BATCH_ROWS
-                    }
-                },
+            let opts = ExecOptions {
+                mode,
+                ..ExecOptions::default()
             };
-            (
-                ExecOptions {
-                    mode,
-                    batch_rows,
-                    ..ExecOptions::default()
-                },
-                fell_back,
-            )
+            (opts, fell_back)
         })
     }
 }
@@ -198,7 +147,14 @@ pub fn execute_plan(
 
 /// Executes `plan` against `db` with explicit engine knobs. The plan
 /// must not reference warm temps (`plan.warm_used` empty) — plans that
-/// read a session cache go through [`execute_plan_seeded`].
+/// read a session cache go through [`try_execute_plan_seeded`].
+///
+/// # Panics
+///
+/// Panics (with the rendered [`MqoError`] diagnostic) if the plan reads
+/// a warm temp, or if the plan is malformed (missing choices, unbound
+/// parameters): outside the serving session a broken plan is a bug, not
+/// an input.
 #[must_use]
 pub fn execute_plan_with(
     catalog: &Catalog,
@@ -208,7 +164,11 @@ pub fn execute_plan_with(
     params: &FxHashMap<ParamId, Value>,
     exec: ExecOptions,
 ) -> ExecOutcome {
-    execute_plan_seeded(catalog, pdag, plan, db, params, exec, &FxHashMap::default()).outcome
+    let seeds = FxHashMap::default();
+    match try_execute_plan_seeded(catalog, pdag, plan, db, params, exec, &seeds) {
+        Ok(out) => out.outcome,
+        Err(e) => panic!("{}", e.render()),
+    }
 }
 
 /// A seeded execution's results plus the temps it built — the session
@@ -226,34 +186,8 @@ pub struct SeededOutcome {
 
 /// Executes a (possibly warm) plan: `seeds` provides one table per
 /// `plan.warm_used` node — results an earlier batch materialized, here
-/// read zero-copy instead of recomputed.
-///
-/// Panicking wrapper over [`try_execute_plan_seeded`], kept for call
-/// sites outside the serving session (figure binaries, parity suites)
-/// where a broken plan is a bug, not an input.
-///
-/// # Panics
-///
-/// Panics (with the rendered [`MqoError`] diagnostic) if the plan reads
-/// a warm temp with no matching seed, or if the plan is malformed
-/// (missing choices, unbound parameters).
-#[must_use]
-pub fn execute_plan_seeded(
-    catalog: &Catalog,
-    pdag: &PhysicalDag,
-    plan: &ExtractedPlan,
-    db: &Database,
-    params: &FxHashMap<ParamId, Value>,
-    exec: ExecOptions,
-    seeds: &FxHashMap<PhysNodeId, Arc<Table>>,
-) -> SeededOutcome {
-    match try_execute_plan_seeded(catalog, pdag, plan, db, params, exec, seeds) {
-        Ok(out) => out,
-        Err(e) => panic!("{}", e.render()),
-    }
-}
-
-/// The fallible seeded-execution path the serving session drives.
+/// read zero-copy instead of recomputed. The serving session drives
+/// this path.
 ///
 /// Failure semantics (the graceful-degradation contract):
 ///
@@ -419,7 +353,7 @@ fn check_params_bound(
 }
 
 /// Stateful plan evaluator (temps live across query evaluations).
-pub struct Executor<'a> {
+pub(crate) struct Executor<'a> {
     catalog: &'a Catalog,
     pdag: &'a PhysicalDag,
     plan: &'a ExtractedPlan,
@@ -546,7 +480,7 @@ impl<'a> Executor<'a> {
         let pdag = self.pdag;
         let op = pdag.op(op_id);
         let inputs = &op.inputs;
-        let (mode, batch) = (self.exec.mode, self.exec.batch_rows);
+        let mode = self.exec.mode;
         match &op.algo {
             Algo::TableScan { table } => {
                 let data = self.db.table(*table);
@@ -587,9 +521,7 @@ impl<'a> Executor<'a> {
                         .collect();
                         Table::new(schema, rows)
                     }
-                    ExecMode::Vectorized => {
-                        vops::nl_join(&outer, &inner, pred, &self.params, batch)
-                    }
+                    ExecMode::Vectorized => vops::nl_join(&outer, &inner, pred, &self.params),
                 })
             }
             Algo::MergeJoin {
@@ -629,7 +561,6 @@ impl<'a> Executor<'a> {
                         right_keys,
                         residual,
                         &self.params,
-                        batch,
                     ),
                 };
                 t.sorted_on.clone_from(left_keys);
@@ -715,7 +646,7 @@ impl<'a> Executor<'a> {
         n: PhysNodeId,
         op: &'a PhysOp,
     ) -> Result<(Table, Option<Vec<u32>>), MqoError> {
-        let (mode, batch) = (self.exec.mode, self.exec.batch_rows);
+        let mode = self.exec.mode;
         let (source, col, pred) = match &op.algo {
             Algo::Filter { pred } => {
                 let input = self.eval_use(op.inputs[0])?;
@@ -733,7 +664,7 @@ impl<'a> Executor<'a> {
                         (t, None)
                     }
                     ExecMode::Vectorized => {
-                        let sel = vops::select(&input, pred, &self.params, batch);
+                        let sel = vops::select(&input, pred, &self.params);
                         (input, sel)
                     }
                 });
@@ -768,7 +699,7 @@ impl<'a> Executor<'a> {
                 (t, None)
             }
             ExecMode::Vectorized => {
-                let sel = vops::index_select(&source, pred, col, &self.params, batch);
+                let sel = vops::index_select(&source, pred, col, &self.params);
                 (source.as_ref().clone(), Some(sel))
             }
         })
@@ -799,14 +730,9 @@ impl<'a> Executor<'a> {
                 .collect();
                 Table::new(schema, rows)
             }
-            ExecMode::Vectorized => vops::indexed_nl_join(
-                outer,
-                inner,
-                outer_key,
-                residual,
-                &self.params,
-                self.exec.batch_rows,
-            ),
+            ExecMode::Vectorized => {
+                vops::indexed_nl_join(outer, inner, outer_key, residual, &self.params)
+            }
         })
     }
 

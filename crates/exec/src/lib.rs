@@ -8,7 +8,7 @@
 //! vectorized implementation ([`vops`]) evaluates predicates
 //! column-at-a-time over typed slices with selection vectors and
 //! materializes output rows with one gather per column, in fixed-size
-//! batches (`MQO_BATCH_ROWS`, default 1024). The legacy tuple-at-a-time
+//! batches of 1024 rows. The legacy tuple-at-a-time
 //! pull operators ([`ops`]) remain behind `MQO_EXEC_MODE=row` as a
 //! migration shim and as the differential oracle the parity suite runs
 //! against the batched path. A temp store materializes shared nodes
@@ -27,8 +27,8 @@ pub mod vops;
 pub use column::{Cell, Column, ColumnBuilder, ColumnData, NullMask};
 pub use datagen::generate_database;
 pub use engine::{
-    execute_plan, execute_plan_seeded, execute_plan_with, try_execute_plan_seeded, ExecMode,
-    ExecOptions, ExecOutcome, Executor, SeededOutcome, DEFAULT_BATCH_ROWS,
+    execute_plan, execute_plan_with, try_execute_plan_seeded, ExecMode, ExecOptions, ExecOutcome,
+    SeededOutcome,
 };
 pub use mv_store::{Admission, MvEntry, MvStats, MvStore};
 pub use table::{normalize_result, results_approx_equal, Database, Row, Table};

@@ -1,7 +1,7 @@
 //! The persistent materialized-view store of a serving session.
 //!
-//! [`Executor`](crate::Executor) temps used to die with their plan; the
-//! [`MvStore`] is where they live on. Entries are refcounted columnar
+//! Temps that [`crate::try_execute_plan_seeded`] builds die with their
+//! plan unless the [`MvStore`] keeps them. Entries are refcounted columnar
 //! [`Table`]s keyed by the **cross-batch fingerprint** of the physical
 //! node that produced them ([`mqo_dag::group_fingerprints`] +
 //! `mqo_physical::node_fingerprints`), so an equivalent subexpression in
@@ -20,8 +20,7 @@
 //! Everything is deterministic: entries live in a `BTreeMap` ordered by
 //! fingerprint, eviction order is `(score, fingerprint)`, and scores are
 //! compared with `total_cmp`. Two runs that submit the same batch stream
-//! observe identical hit/miss/evict sequences at any thread count or
-//! batch size.
+//! observe identical hit/miss/evict sequences.
 
 use crate::table::Table;
 use mqo_chaos::Seam;

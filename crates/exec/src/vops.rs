@@ -1,7 +1,7 @@
 //! Vectorized physical operators over columnar tables.
 //!
-//! Operators process their input in fixed-size batches (`batch` rows,
-//! default 1024 via `MQO_BATCH_ROWS`) of **selection vectors**: a
+//! Operators process their input in fixed-size batches (1024 rows,
+//! `BATCH_ROWS`) of **selection vectors**: a
 //! predicate evaluates column-at-a-time, refining a `Vec<u32>` of
 //! surviving row indices per atom, and rows are only materialized once,
 //! by a typed column gather. Joins, sorts and aggregates gather at the
@@ -25,6 +25,12 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
+
+/// Rows per batch of a selection or a join probe. One fixed size: in
+/// the `vec_exec` sweep of EXPERIMENTS.md (release build, single-CPU
+/// container, TPC-D scale 0.004) Q15 ran in 944 µs with 1-row batches,
+/// 415 µs at 64, 387 µs at 1024 and 388 µs at 8192.
+const BATCH_ROWS: usize = 1024;
 
 /// One side of a vectorized atom: a column of the probed input, a
 /// broadcast cell (the current outer row of a join probe), or a column
@@ -189,22 +195,15 @@ fn join_side<'a>(outer: &'a Table, o: usize, inner: &'a Table) -> impl Fn(ColId)
     }
 }
 
-/// Evaluates `pred` over rows `[lo, hi)` of `t` in `batch`-row chunks,
-/// returning all surviving row indices.
-fn select_range(
-    t: &Table,
-    pred: &Predicate,
-    params: &Params,
-    lo: usize,
-    hi: usize,
-    batch: usize,
-) -> Vec<u32> {
+/// Evaluates `pred` over rows `[lo, hi)` of `t` in [`BATCH_ROWS`]-row
+/// chunks, returning all surviving row indices.
+fn select_range(t: &Table, pred: &Predicate, params: &Params, lo: usize, hi: usize) -> Vec<u32> {
     let side = table_side(t);
     let mut all = Vec::new();
     let (mut sel, mut scratch) = (Vec::new(), Vec::new());
     let mut s = lo;
     while s < hi {
-        let e = (s + batch.max(1)).min(hi);
+        let e = (s + BATCH_ROWS).min(hi);
         sel.clear();
         sel.extend(s as u32..e as u32);
         refine_pred(pred, &side, params, &mut sel, &mut scratch);
@@ -250,13 +249,13 @@ pub fn gather_table(t: &Table, sel: Option<&[u32]>) -> Table {
 /// Every join kernel is a *candidate source*: per left row it names the
 /// ascending right rows that can still match (the whole input, a key
 /// group, an index range, a hash bucket) and [`JoinMatches::probe`]
-/// keeps those passing the residual, `batch` candidates at a time.
+/// keeps those passing the residual, [`BATCH_ROWS`] candidates at a
+/// time.
 struct JoinMatches<'a> {
     left: &'a Table,
     right: &'a Table,
     residual: &'a Predicate,
     params: &'a Params,
-    batch: usize,
     left_idx: Vec<u32>,
     right_idx: Vec<u32>,
     sel: Vec<u32>,
@@ -264,19 +263,12 @@ struct JoinMatches<'a> {
 }
 
 impl<'a> JoinMatches<'a> {
-    fn new(
-        left: &'a Table,
-        right: &'a Table,
-        residual: &'a Predicate,
-        params: &'a Params,
-        batch: usize,
-    ) -> Self {
+    fn new(left: &'a Table, right: &'a Table, residual: &'a Predicate, params: &'a Params) -> Self {
         JoinMatches {
             left,
             right,
             residual,
             params,
-            batch: batch.max(1),
             left_idx: Vec::new(),
             right_idx: Vec::new(),
             sel: Vec::new(),
@@ -293,7 +285,7 @@ impl<'a> JoinMatches<'a> {
             let side = join_side(self.left, l, self.right);
             loop {
                 self.sel.clear();
-                self.sel.extend(candidates.by_ref().take(self.batch));
+                self.sel.extend(candidates.by_ref().take(BATCH_ROWS));
                 if self.sel.is_empty() {
                     break;
                 }
@@ -330,15 +322,15 @@ impl<'a> JoinMatches<'a> {
 /// Batched filter's selection: the rows of `input` satisfying `pred`,
 /// ascending, or `None` when a constant-TRUE predicate keeps them all.
 #[must_use]
-pub fn select(input: &Table, pred: &Predicate, params: &Params, batch: usize) -> Option<Vec<u32>> {
-    (!pred.is_true()).then(|| select_range(input, pred, params, 0, input.len(), batch))
+pub fn select(input: &Table, pred: &Predicate, params: &Params) -> Option<Vec<u32>> {
+    (!pred.is_true()).then(|| select_range(input, pred, params, 0, input.len()))
 }
 
 /// Batched filter: [`select`] + [`gather_table`]. A constant-TRUE
 /// predicate is zero-copy.
 #[must_use]
-pub fn filter(input: &Table, pred: &Predicate, params: &Params, batch: usize) -> Table {
-    gather_table(input, select(input, pred, params, batch).as_deref())
+pub fn filter(input: &Table, pred: &Predicate, params: &Params) -> Table {
+    gather_table(input, select(input, pred, params).as_deref())
 }
 
 /// Batched clustered-index range scan's selection: binary-search the
@@ -346,29 +338,17 @@ pub fn filter(input: &Table, pred: &Predicate, params: &Params, batch: usize) ->
 /// then re-check the full predicate batch-at-a-time over the narrowed
 /// range.
 #[must_use]
-pub fn index_select(
-    table: &Table,
-    pred: &Predicate,
-    col: ColId,
-    params: &Params,
-    batch: usize,
-) -> Vec<u32> {
+pub fn index_select(table: &Table, pred: &Predicate, col: ColId, params: &Params) -> Vec<u32> {
     let (lo, hi) = ops::probe_bounds(pred, col, params);
     let (start, end) = table.range_on_sorted(lo.as_ref(), hi.as_ref());
-    select_range(table, pred, params, start, end, batch)
+    select_range(table, pred, params, start, end)
 }
 
 /// Batched clustered-index range scan: [`index_select`] +
 /// [`gather_table`].
 #[must_use]
-pub fn index_scan(
-    table: &Table,
-    pred: &Predicate,
-    col: ColId,
-    params: &Params,
-    batch: usize,
-) -> Table {
-    gather_table(table, Some(&index_select(table, pred, col, params, batch)))
+pub fn index_scan(table: &Table, pred: &Predicate, col: ColId, params: &Params) -> Table {
+    gather_table(table, Some(&index_select(table, pred, col, params)))
 }
 
 /// Projection of a selection (`None` = every row): gathers only `cols`,
@@ -400,15 +380,9 @@ pub fn project(input: &Table, sel: Option<&[u32]>, cols: &[ColId]) -> Table {
 ///
 /// Panics when `pred` references a parameter absent from `params`.
 #[must_use]
-pub fn nl_join(
-    outer: &Table,
-    inner: &Table,
-    pred: &Predicate,
-    params: &Params,
-    batch: usize,
-) -> Table {
+pub fn nl_join(outer: &Table, inner: &Table, pred: &Predicate, params: &Params) -> Table {
     let Some((outer_key, inner_key, residual)) = equi_key(outer, inner, pred) else {
-        let mut m = JoinMatches::new(outer, inner, pred, params, batch);
+        let mut m = JoinMatches::new(outer, inner, pred, params);
         for o in 0..outer.len() {
             m.probe(o, 0..inner.len() as u32);
         }
@@ -427,7 +401,7 @@ pub fn nl_join(
             |r| inner_key.cell(r).join_key(),
         ),
     };
-    let mut m = JoinMatches::new(outer, inner, &residual, params, batch);
+    let mut m = JoinMatches::new(outer, inner, &residual, params);
     for o in 0..outer.len() {
         m.probe(o, buckets.of(o).iter().copied());
     }
@@ -553,11 +527,10 @@ pub fn merge_join(
     right_keys: &[ColId],
     residual: &Predicate,
     params: &Params,
-    batch: usize,
 ) -> Table {
     let lp: Vec<usize> = left_keys.iter().map(|&k| left.col_pos(k)).collect();
     let rp: Vec<usize> = right_keys.iter().map(|&k| right.col_pos(k)).collect();
-    let mut m = JoinMatches::new(left, right, residual, params, batch);
+    let mut m = JoinMatches::new(left, right, residual, params);
     let images = match (&lp[..], &rp[..]) {
         (&[a], &[b]) => left
             .col(a)
@@ -629,10 +602,9 @@ pub fn indexed_nl_join(
     outer_key: ColId,
     residual: &Predicate,
     params: &Params,
-    batch: usize,
 ) -> Table {
     let okp = outer.col_pos(outer_key);
-    let mut m = JoinMatches::new(outer, inner, residual, params, batch);
+    let mut m = JoinMatches::new(outer, inner, residual, params);
     for o in 0..outer.len() {
         if outer.col(okp).is_null(o) {
             continue;

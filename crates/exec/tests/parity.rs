@@ -2,16 +2,16 @@
 //! row-at-a-time (`ops`) vs batched (`vops`) on randomized inputs must
 //! produce **identical** result tables — schema, row order, cell values
 //! compared strictly by variant (`Int(3)` ≠ `Float(3.0)` here, unlike
-//! `Value::eq`), and SQL Null semantics — at every batch size,
-//! including the degenerate `MQO_BATCH_ROWS=1`. An engine-level test
-//! pins the same bit-for-bit agreement on whole extracted plans.
+//! `Value::eq`), and SQL Null semantics — on inputs inside one batch and
+//! across batch boundaries. An engine-level test pins the same
+//! bit-for-bit agreement on whole extracted plans.
 
 use mqo_catalog::{Catalog, ColId, ColStats, ColType, TableId};
 use mqo_core::Optimizer;
 use mqo_exec::ops::{self, Params};
 use mqo_exec::{
-    execute_plan_seeded, execute_plan_with, generate_database, normalize_result, vops, Database,
-    ExecMode, ExecOptions, ExecOutcome, Row, Table,
+    execute_plan_with, generate_database, normalize_result, try_execute_plan_seeded, vops,
+    Database, ExecMode, ExecOptions, ExecOutcome, Row, Table,
 };
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, Conjunct, ParamId, Predicate, ScalarExpr, Value};
 use mqo_logical::{Batch, LogicalPlan, Query};
@@ -21,11 +21,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Batch sizes every op-level case is checked at: degenerate
-/// tuple-at-a-time, an odd size that straddles chunk boundaries, and
-/// the production default.
-const BATCHES: [usize; 3] = [1, 3, 1024];
 
 // ---- strict comparison --------------------------------------------------
 
@@ -263,10 +258,8 @@ proptest! {
         let pred = rand_pred(rng, &t.schema, &kinds);
         let params = rand_params(rng);
         let want = row_filter(&t, &pred, &params);
-        for b in BATCHES {
-            let got = vops::filter(&t, &pred, &params, b);
-            prop_assert!(tables_identical(&want, &got), "batch {b}: pred {pred}");
-        }
+        let got = vops::filter(&t, &pred, &params);
+        prop_assert!(tables_identical(&want, &got), "pred {pred}");
     }
 
     #[test]
@@ -283,10 +276,8 @@ proptest! {
         let pred = Predicate::all(atoms);
         let params = rand_params(rng);
         let want = row_index_scan(&t, &pred, t.schema[0], &params);
-        for b in BATCHES {
-            let got = vops::index_scan(&t, &pred, t.schema[0], &params, b);
-            prop_assert!(tables_identical(&want, &got), "batch {b}: pred {pred}");
-        }
+        let got = vops::index_scan(&t, &pred, t.schema[0], &params);
+        prop_assert!(tables_identical(&want, &got), "pred {pred}");
     }
 
     #[test]
@@ -318,10 +309,8 @@ proptest! {
         let pred = rand_pred(rng, &schema, &kinds);
         let params = rand_params(rng);
         let want = row_nl_join(&outer, &inner, &pred, &params);
-        for b in BATCHES {
-            let got = vops::nl_join(&outer, &inner, &pred, &params, b);
-            prop_assert!(tables_identical(&want, &got), "batch {b}: pred {pred}");
-        }
+        let got = vops::nl_join(&outer, &inner, &pred, &params);
+        prop_assert!(tables_identical(&want, &got), "pred {pred}");
     }
 
     #[test]
@@ -345,10 +334,8 @@ proptest! {
         };
         let params = rand_params(rng);
         let want = row_merge_join(&left, &right, &lk, &rk, &residual, &params);
-        for b in BATCHES {
-            let got = vops::merge_join(&left, &right, &lk, &rk, &residual, &params, b);
-            prop_assert!(tables_identical(&want, &got), "batch {b}: residual {residual}");
-        }
+        let got = vops::merge_join(&left, &right, &lk, &rk, &residual, &params);
+        prop_assert!(tables_identical(&want, &got), "residual {residual}");
     }
 
     #[test]
@@ -370,10 +357,8 @@ proptest! {
         };
         let params = rand_params(rng);
         let want = row_indexed_nl_join(&outer, &inner, outer.schema[0], &residual, &params);
-        for b in BATCHES {
-            let got = vops::indexed_nl_join(&outer, &inner, outer.schema[0], &residual, &params, b);
-            prop_assert!(tables_identical(&want, &got), "batch {b}: residual {residual}");
-        }
+        let got = vops::indexed_nl_join(&outer, &inner, outer.schema[0], &residual, &params);
+        prop_assert!(tables_identical(&want, &got), "residual {residual}");
     }
 
     #[test]
@@ -425,7 +410,7 @@ type EquiCase = (&'static str, Vec<Value>, Vec<Value>, Predicate, usize);
 
 /// The hash probe's key equality must be exactly `cmp_maybe == Equal`,
 /// and its output order exactly the loop's: every case is compared with
-/// the row engine's quadratic join at every batch size, and the match
+/// the row engine's quadratic join, and the match
 /// counts that define the contract are pinned so no case is vacuous.
 #[test]
 fn nl_join_equi_key_semantics() {
@@ -574,10 +559,8 @@ fn nl_join_equi_key_semantics() {
         let (outer, inner) = (keyed(0, outer_keys), keyed(10, inner_keys));
         let want = row_nl_join(&outer, &inner, &pred, &params);
         assert_eq!(want.len(), matches, "{name}: oracle match count");
-        for b in BATCHES {
-            let got = vops::nl_join(&outer, &inner, &pred, &params, b);
-            assert!(tables_identical(&want, &got), "{name}: batch {b}");
-        }
+        let got = vops::nl_join(&outer, &inner, &pred, &params);
+        assert!(tables_identical(&want, &got), "{name}");
     }
 
     // the atom written inner-column-first: the outer's ids are the
@@ -596,10 +579,8 @@ fn nl_join_equi_key_semantics() {
     ));
     let want = row_nl_join(&outer, &inner, &pred, &params);
     assert_eq!(want.len(), 3);
-    for b in BATCHES {
-        let got = vops::nl_join(&outer, &inner, &pred, &params, b);
-        assert!(tables_identical(&want, &got), "inner-first atom: batch {b}");
-    }
+    let got = vops::nl_join(&outer, &inner, &pred, &params);
+    assert!(tables_identical(&want, &got), "inner-first atom");
 }
 
 /// 200 × 5 000 rows over a 40-value key domain (Nulls included): long
@@ -627,10 +608,8 @@ fn nl_join_equi_duplicate_heavy_parity() {
     ] {
         let want = row_nl_join(&outer, &inner, &pred, &params);
         assert!(want.len() > 10_000, "duplicate-heavy by construction");
-        for b in BATCHES {
-            let got = vops::nl_join(&outer, &inner, &pred, &params, b);
-            assert!(tables_identical(&want, &got), "batch {b}: pred {pred}");
-        }
+        let got = vops::nl_join(&outer, &inner, &pred, &params);
+        assert!(tables_identical(&want, &got), "pred {pred}");
     }
 }
 
@@ -718,15 +697,13 @@ fn keyed_sorted(base: u32, keys: Vec<Value>) -> Table {
 }
 
 /// Every batched merge join of `left ⋈ right` on their key columns is
-/// the row engine's, bit for bit, at every batch size; returns it.
+/// the row engine's, bit for bit; returns it.
 fn merge_join_both_engines(left: &Table, right: &Table, residual: &Predicate) -> Table {
     let (lk, rk) = ([left.schema[0]], [right.schema[0]]);
     let params = Params::default();
     let want = row_merge_join(left, right, &lk, &rk, residual, &params);
-    for b in BATCHES {
-        let got = vops::merge_join(left, right, &lk, &rk, residual, &params, b);
-        assert!(tables_identical(&want, &got), "batch {b}: {residual}");
-    }
+    let got = vops::merge_join(left, right, &lk, &rk, residual, &params);
+    assert!(tables_identical(&want, &got), "{residual}");
     want
 }
 
@@ -787,10 +764,8 @@ fn int_against_float_keys_join_through_the_cell_path() {
     let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
     let params = Params::default();
     let looped = row_nl_join(&outer, &inner, &pred, &params);
-    for b in BATCHES {
-        let hashed = vops::nl_join(&outer, &inner, &pred, &params, b);
-        assert!(tables_identical(&looped, &hashed), "nl_join batch {b}");
-    }
+    let hashed = vops::nl_join(&outer, &inner, &pred, &params);
+    assert!(tables_identical(&looped, &hashed), "nl_join");
     for out in [&merged, &looped] {
         assert!(out.len() > 1_000);
         let threes: Vec<Value> = (0..out.len())
@@ -830,10 +805,8 @@ fn merge_join_matches_equi_nl_join_on_nan_keys() {
     let params = Params::default();
     let looped = row_nl_join(&outer, &inner, &pred, &params);
     assert_eq!(looped.len(), 4, "1.0 × 2·1 and 2.5 × 1·2");
-    for b in BATCHES {
-        let hashed = vops::nl_join(&outer, &inner, &pred, &params, b);
-        assert!(same_rows(&looped, &hashed), "nl_join batch {b}");
-    }
+    let hashed = vops::nl_join(&outer, &inner, &pred, &params);
+    assert!(same_rows(&looped, &hashed), "nl_join");
     assert!(
         same_rows(&merged, &looped),
         "merge join = equi nested loops"
@@ -868,6 +841,96 @@ fn sort_aggregate_int_key_parity() {
         &want,
         &vops::sort_aggregate(&t, &[ColId(0)], &aggs)
     ));
+}
+
+/// `n` rows `(key, tag, val)` with ids `base..base + 3`: `key` is `Int`,
+/// 0 on about half the rows (one hot key) and Null on a tenth; `tag` is
+/// the row's position; `val` is a `Float` with NaN and Null cells.
+fn hot_keyed(rng: &mut StdRng, base: u32, n: usize) -> Table {
+    let rows = (0..n)
+        .map(|r| {
+            let key = match rng.random_range(0i64..20) {
+                0..=9 => Value::Int(0),
+                10 | 11 => Value::Null,
+                _ => Value::Int(rng.random_range(1i64..500)),
+            };
+            let val = match rng.random_range(0i64..10) {
+                0 => Value::Null,
+                1 => Value::Float(f64::NAN),
+                _ => Value::Float(rng.random_range(-10i64..10) as f64 * 0.5),
+            };
+            vec![key, Value::Int(r as i64), val]
+        })
+        .collect();
+    Table::new((base..base + 3).map(ColId).collect(), rows)
+}
+
+/// Every vectorized operator that evaluates in 1 024-row chunks —
+/// the selections over their input, the joins over one outer row's
+/// candidates — against the row engine on 2 500-row inputs: two full
+/// chunks and a partial one, where the hot key gives one outer row
+/// more than 1 024 candidates and every residual cuts them, over Null
+/// and NaN cells on both sides.
+#[test]
+fn chunk_boundaries_parity() {
+    let rng = &mut StdRng::seed_from_u64(0x5EED_1024);
+    let (ok, ov) = (ColId(0), ColId(2));
+    let (ik, iv) = (ColId(10), ColId(12));
+    let mut params = Params::default();
+    params.insert(ParamId(0), Value::Float(1.0));
+
+    let mut t = hot_keyed(rng, 10, 2_500);
+    let pred = Predicate::any(vec![
+        Conjunct::new(vec![
+            Atom::cmp(iv, CmpOp::Lt, 1.0),
+            Atom::cmp(ik, CmpOp::Ne, 0i64),
+        ]),
+        Conjunct::new(vec![Atom::Param {
+            col: iv,
+            op: CmpOp::Ge,
+            param: ParamId(0),
+        }]),
+    ]);
+    let want = row_filter(&t, &pred, &params);
+    assert!(want.len() > 1_024 && want.len() < t.len());
+    assert!(tables_identical(&want, &vops::filter(&t, &pred, &params)));
+    t.sort_by(&[ik]);
+    let pred = Predicate::all(vec![
+        Atom::cmp(ik, CmpOp::Ge, 0i64),
+        Atom::cmp(ik, CmpOp::Le, 250i64),
+        Atom::cmp(iv, CmpOp::Ne, 0.5),
+    ]);
+    let want = row_index_scan(&t, &pred, ik, &params);
+    assert!(want.len() > 1_024);
+    let got = vops::index_scan(&t, &pred, ik, &params);
+    assert!(tables_identical(&want, &got), "index scan");
+
+    // `t` is the inner, sorted on its key, and holds > 1 024 hot rows
+    let hot = (0..t.len()).filter(|&r| t.col(0).get(r) == Value::Int(0));
+    assert!(hot.count() > 1_024);
+    let mut outer = hot_keyed(rng, 0, 40);
+    assert!((0..outer.len()).any(|r| outer.col(0).get(r) == Value::Int(0)));
+    let residual = Predicate::all(vec![Atom::col_cmp(ov, CmpOp::Le, iv)]);
+    let equi = Predicate::all(vec![
+        Atom::eq_cols(ok, ik),
+        Atom::col_cmp(ov, CmpOp::Le, iv),
+    ]);
+    for pred in [&residual, &equi] {
+        let want = row_nl_join(&outer, &t, pred, &params);
+        assert!(want.len() > 1_024, "{pred}");
+        let got = vops::nl_join(&outer, &t, pred, &params);
+        assert!(tables_identical(&want, &got), "nl join: {pred}");
+    }
+    let want = row_indexed_nl_join(&outer, &t, ok, &residual, &params);
+    assert!(want.len() > 1_024);
+    let got = vops::indexed_nl_join(&outer, &t, ok, &residual, &params);
+    assert!(tables_identical(&want, &got), "indexed nl join");
+    outer.sort_by(&[ok]);
+    let (lk, rk) = ([ok], [ik]);
+    let want = row_merge_join(&outer, &t, &lk, &rk, &residual, &params);
+    assert!(want.len() > 1_024);
+    let got = vops::merge_join(&outer, &t, &lk, &rk, &residual, &params);
+    assert!(tables_identical(&want, &got), "merge join");
 }
 
 // ---- engine-level parity ------------------------------------------------
@@ -926,9 +989,8 @@ fn star() -> (Catalog, Batch) {
     )
 }
 
-/// Executes `plan` on the row engine and on the vectorized engine at
-/// every batch size, requires bit-identical outcomes, and returns the
-/// vectorized one (default batch size).
+/// Executes `plan` on the row engine and on the vectorized engine,
+/// requires bit-identical outcomes, and returns the vectorized one.
 fn assert_modes_agree(
     cat: &Catalog,
     pdag: &PhysicalDag,
@@ -937,32 +999,21 @@ fn assert_modes_agree(
     label: &str,
 ) -> ExecOutcome {
     let params = FxHashMap::default();
-    let run = |mode, batch_rows| {
+    let run = |mode| {
         let exec = ExecOptions {
             mode,
-            batch_rows,
             ..ExecOptions::default()
         };
         execute_plan_with(cat, pdag, plan, db, &params, exec)
     };
-    let row = run(ExecMode::Row, 1024);
-    let mut vecs: Vec<ExecOutcome> = BATCHES
-        .iter()
-        .map(|&b| run(ExecMode::Vectorized, b))
-        .collect();
-    for (b, vec) in BATCHES.iter().zip(&vecs) {
-        assert_eq!(row.temps_built, vec.temps_built, "{label}");
-        assert_eq!(row.rows_out, vec.rows_out, "{label} batch {b}");
-        assert_eq!(row.results.len(), vec.results.len());
-        for (qi, (a, v)) in row.results.iter().zip(&vec.results).enumerate() {
-            assert!(
-                tables_identical(a, v),
-                "{label} batch {b}: query {qi} diverged"
-            );
-        }
+    let (row, vec) = (run(ExecMode::Row), run(ExecMode::Vectorized));
+    assert_eq!(row.temps_built, vec.temps_built, "{label}");
+    assert_eq!(row.rows_out, vec.rows_out, "{label}");
+    assert_eq!(row.results.len(), vec.results.len());
+    for (qi, (a, v)) in row.results.iter().zip(&vec.results).enumerate() {
+        assert!(tables_identical(a, v), "{label}: query {qi} diverged");
     }
-    vecs.pop()
-        .expect("BATCHES ends with the default batch size")
+    vec
 }
 
 #[test]
@@ -1149,7 +1200,7 @@ fn materialized_filter_is_read_not_refiltered() {
     plan.materialized.push(filter);
     let out = assert_modes_agree(&cat, &pdag, &plan, &db, "materialized Filter");
     assert_eq!(out.temps_built, 1);
-    let seeded = execute_plan_seeded(
+    let seeded = try_execute_plan_seeded(
         &cat,
         &pdag,
         &plan,
@@ -1157,7 +1208,8 @@ fn materialized_filter_is_read_not_refiltered() {
         &FxHashMap::default(),
         ExecOptions::default(),
         &FxHashMap::default(),
-    );
+    )
+    .expect("a well-formed cold plan executes");
     let [(built, temp)] = &seeded.built_temps[..] else {
         panic!("exactly one temp")
     };
@@ -1173,13 +1225,9 @@ fn materialized_filter_is_read_not_refiltered() {
 #[test]
 fn exec_options_env_defaults_are_sane() {
     // from_env must honor whatever the CI matrix sets, and fall back to
-    // the vectorized path with the documented default batch size
+    // the vectorized path
     let opts = ExecOptions::from_env();
-    assert!(opts.batch_rows >= 1);
     if std::env::var("MQO_EXEC_MODE").is_err() {
         assert_eq!(opts.mode, ExecMode::Vectorized);
-    }
-    if std::env::var("MQO_BATCH_ROWS").is_err() {
-        assert_eq!(opts.batch_rows, mqo_exec::DEFAULT_BATCH_ROWS);
     }
 }

@@ -36,8 +36,8 @@ pub struct ExtractedPlan {
     /// Warm temps the plan reads but does **not** compute: nodes whose
     /// materialization survives from an earlier batch (a serving
     /// session's `MvStore`). The executor must be seeded with a table
-    /// per entry (see `mqo-exec`'s `execute_plan_seeded`); in topological
-    /// order. Empty outside a warm-cache session.
+    /// per entry (see `mqo-exec`'s `try_execute_plan_seeded`); in
+    /// topological order. Empty outside a warm-cache session.
     pub warm_used: Vec<PhysNodeId>,
     /// Estimated total cost (`bestcost` over the referenced set; warm
     /// temps charged at reuse only).

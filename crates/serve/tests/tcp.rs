@@ -37,15 +37,19 @@ fn canon(results: &[QueryResult]) -> String {
 }
 
 /// Four concurrent clients, two submissions each: every client's warm
-/// resubmit is bit-identical to its cold one, all clients agree, the
-/// shared cache records hits, and the server shuts down cleanly while
+/// resubmit is bit-identical to its cold one, all clients agree, and the
+/// shared cache records hits. A steady phase follows: a fifth client
+/// resubmits the job alone three times, which must return the same bits
+/// and answer at least one of them with a stored plan. Nothing fails,
+/// every tenant has a ledger, and the server shuts down cleanly while
 /// clients are gone.
 #[test]
 fn concurrent_tcp_clients_share_the_cache_and_agree() {
     let mut server = start_server();
     let addr = server.local_addr().to_string();
 
-    let handles: Vec<_> = (0..4)
+    let clients = 4;
+    let handles: Vec<_> = (0..clients)
         .map(|i| {
             let addr = addr.clone();
             std::thread::spawn(move || {
@@ -78,9 +82,21 @@ fn concurrent_tcp_clients_share_the_cache_and_agree() {
         outcomes.iter().any(|(_, hits)| *hits > 0),
         "no cache hits recorded over TCP"
     );
-    let (totals, _) = server.front().stats();
+    // Steady phase: the job recurs alone, so its batch recurs.
+    let mut c = Client::connect(&addr, "steady").expect("connect");
+    for round in 0..3 {
+        let again = c.query(SQL).expect("steady query");
+        assert_eq!(&canon(&again), first, "steady round {round}: bits differ");
+    }
+    c.close();
+    let (totals, tenants) = server.front().stats();
     assert!(totals.cache_hits > 0);
+    assert!(
+        totals.plan_reuses > 0,
+        "the recurring job never ran a stored plan"
+    );
     assert_eq!(totals.failed, 0);
+    assert_eq!(tenants.len(), clients + 1, "every tenant has a ledger");
     server.shutdown();
 }
 

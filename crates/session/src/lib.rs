@@ -41,8 +41,8 @@
 //!    fingerprinting and search ([`BatchResult::plan_reused`]).
 //!
 //! Everything stays deterministic: the same batch stream produces
-//! identical plans, costs, and hit/evict sequences at every execution
-//! batch size, reused plans or not. [`Optimizer`] and
+//! identical plans, costs, and hit/evict sequences, reused plans or
+//! not. [`Optimizer`] and
 //! [`execute_plan_with`](mqo_exec::execute_plan_with) remain the
 //! documented single-batch path (multi-strategy comparisons, figure
 //! binaries); the session is the serving path.

@@ -11,7 +11,7 @@ use mqo_workloads::no_overlap;
 fn malformed_env_falls_back_to_defaults_and_counts() {
     // Set before anything reads the environment (single test in this
     // binary, so no race with other tests' caches).
-    std::env::set_var("MQO_BATCH_ROWS", "banana");
+    std::env::set_var("MQO_EXEC_MODE", "banana");
     std::env::set_var("MQO_TIME_BUDGET_MS", "fast");
     std::env::set_var("MQO_MEM_BUDGET", "lots");
 

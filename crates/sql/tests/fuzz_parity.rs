@@ -89,37 +89,18 @@ fn seeded_sql_queries_agree_across_exec_paths() {
         let optimizer = Optimizer::with_options(&catalog, options);
         let ctx = optimizer.prepare(&batch);
         let r = optimizer.search(&ctx, "Greedy").unwrap();
-        let row = execute_plan_with(
-            &catalog,
-            &ctx.pdag,
-            &r.plan,
-            &db,
-            &params,
-            ExecOptions {
-                mode: ExecMode::Row,
-                batch_rows: 1024,
+        let run = |mode| {
+            let exec = ExecOptions {
+                mode,
                 ..ExecOptions::default()
-            },
+            };
+            execute_plan_with(&catalog, &ctx.pdag, &r.plan, &db, &params, exec)
+        };
+        assert_outcomes_identical(
+            &run(ExecMode::Row),
+            &run(ExecMode::Vectorized),
+            &format!("fuzz batch {batch_no}:\n{sql}"),
         );
-        for batch_rows in [1usize, 1024] {
-            let vec = execute_plan_with(
-                &catalog,
-                &ctx.pdag,
-                &r.plan,
-                &db,
-                &params,
-                ExecOptions {
-                    mode: ExecMode::Vectorized,
-                    batch_rows,
-                    ..ExecOptions::default()
-                },
-            );
-            assert_outcomes_identical(
-                &row,
-                &vec,
-                &format!("fuzz batch {batch_no} (rows={batch_rows}):\n{sql}"),
-            );
-        }
         done += n;
         batch_no += 1;
     }

@@ -51,33 +51,15 @@ fn run_parity(batch: &mqo_logical::Batch, catalog: &mqo_catalog::Catalog, seed: 
     let params = FxHashMap::default();
     for name in ["Volcano", "Greedy"] {
         let r = optimizer.search(&ctx, name).unwrap();
-        let row = execute_plan_with(
-            catalog,
-            &ctx.pdag,
-            &r.plan,
-            &db,
-            &params,
-            ExecOptions {
-                mode: ExecMode::Row,
-                batch_rows: 1024,
+        let run = |mode| {
+            let exec = ExecOptions {
+                mode,
                 ..ExecOptions::default()
-            },
-        );
-        for batch_rows in [1usize, 1024] {
-            let vec = execute_plan_with(
-                catalog,
-                &ctx.pdag,
-                &r.plan,
-                &db,
-                &params,
-                ExecOptions {
-                    mode: ExecMode::Vectorized,
-                    batch_rows,
-                    ..ExecOptions::default()
-                },
-            );
-            assert_outcomes_identical(&row, &vec, &format!("{label}/{name} batch={batch_rows}"));
-        }
+            };
+            execute_plan_with(catalog, &ctx.pdag, &r.plan, &db, &params, exec)
+        };
+        let (row, vec) = (run(ExecMode::Row), run(ExecMode::Vectorized));
+        assert_outcomes_identical(&row, &vec, &format!("{label}/{name}"));
     }
 }
 
@@ -116,8 +98,7 @@ fn scaleup_cq2_paths_agree() {
 /// Executing a plan over its [`PhysicalDag::plan_slice`] — what a
 /// session stores for plan reuse — is executing it over the full DAG:
 /// bit-identical outcomes for every strategy's plan of the fig6–fig10
-/// batches and the serving stream, on both engines at batch rows 1 and
-/// 1024.
+/// batches and the serving stream, on both engines.
 ///
 /// [`PhysicalDag::plan_slice`]: mqo_physical::PhysicalDag::plan_slice
 #[test]
@@ -141,11 +122,6 @@ fn plan_slices_execute_like_the_full_dag() {
     let scaleup_db = generate_database(&scaleup.catalog, 11, 500);
     let mut params = FxHashMap::default();
     params.insert(mqo_expr::ParamId(0), Value::Int(1));
-    let engines = [
-        (ExecMode::Row, 1024),
-        (ExecMode::Vectorized, 1),
-        (ExecMode::Vectorized, 1024),
-    ];
     for (name, catalog, batch) in &inputs {
         let db = if name.starts_with("CQ") {
             &scaleup_db
@@ -157,19 +133,14 @@ fn plan_slices_execute_like_the_full_dag() {
         for alg in ["Volcano", "Volcano-SH", "Volcano-RU", "Greedy"] {
             let plan = optimizer.search(&ctx, alg).unwrap().plan;
             let (slice, sliced) = ctx.pdag.plan_slice(&plan);
-            for (mode, batch_rows) in engines {
+            for mode in [ExecMode::Row, ExecMode::Vectorized] {
                 let exec = ExecOptions {
                     mode,
-                    batch_rows,
                     ..ExecOptions::default()
                 };
                 let full = execute_plan_with(catalog, &ctx.pdag, &plan, db, &params, exec);
                 let cut = execute_plan_with(catalog, &slice, &sliced, db, &params, exec);
-                assert_outcomes_identical(
-                    &full,
-                    &cut,
-                    &format!("{name}/{alg} {mode:?} batch={batch_rows} (slice)"),
-                );
+                assert_outcomes_identical(&full, &cut, &format!("{name}/{alg} {mode:?} (slice)"));
             }
         }
     }

@@ -26,10 +26,7 @@ fn main() {
     let db = generate_database(&w.catalog, 7, usize::MAX);
     let exec = ExecOptions::from_env();
     match exec.mode {
-        ExecMode::Vectorized => println!(
-            "engine: vectorized columnar, {} rows/batch (MQO_BATCH_ROWS)",
-            exec.batch_rows
-        ),
+        ExecMode::Vectorized => println!("engine: vectorized columnar"),
         ExecMode::Row => println!("engine: legacy row-at-a-time (MQO_EXEC_MODE=row)"),
     }
 
