@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for greedy's §4 optimizations:
 //! incremental cost update (Figure 5) vs full recomputation, and the
-//! whole algorithm with each optimization toggled.
+//! whole algorithm with each optimization toggled. The incremental probe
+//! is [`CostState::probe`], the path Greedy's benefit computation takes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_bench::bench_optimizer;
@@ -28,9 +29,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         let mut stats = OptStats::default();
         b.iter(|| {
             for &n in &candidates {
-                state.add_mat(&pdag, n, &mut stats);
-                black_box(state.total(&pdag));
-                state.remove_mat(&pdag, n, &mut stats);
+                black_box(state.probe(&pdag, n, &mut stats));
             }
         });
     });

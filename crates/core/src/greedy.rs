@@ -7,6 +7,10 @@
 //! *probing* — the benefit of one candidate on top of the current
 //! materialized set — and the §4 optimizations are what keep probes few
 //! (pre-filtering, the §4.3 heap) and cheap (the incremental update).
+//! A probe is [`CostState::probe`]: the candidate's addition propagates
+//! once with its writes logged, and the log is restored instead of
+//! propagating the removal, so undoing a probe re-evaluates nothing.
+//! Only a commit ([`CostState::add_mat`]) changes the state for good.
 
 use crate::state::CostState;
 use crate::{deadline_expired, OptContext, OptStats, Optimized, Options, Strategy};
@@ -147,10 +151,7 @@ fn probe_on(
 ) -> f64 {
     stats.benefit_recomputations += 1;
     if incremental {
-        state.add_mat(pdag, x, stats);
-        let t = state.total(pdag);
-        state.remove_mat(pdag, x, stats);
-        (cur_total - t).secs()
+        (cur_total - state.probe(pdag, x, stats)).secs()
     } else {
         state.mat.insert(pdag, x);
         state.recompute_full(pdag);

@@ -156,7 +156,10 @@ pub struct OptStats {
     /// incremental cost recomputation (paper Figure 10, right).
     pub benefit_recomputations: u64,
     /// Incremental update: number of cost propagations across physical
-    /// equivalence nodes (paper Figure 10, left).
+    /// equivalence nodes (paper Figure 10, left). Forward propagations
+    /// only: a probe restores the costs it overwrote from a log, and the
+    /// restore is not a propagation, so a Greedy probe counts the nodes
+    /// its addition re-evaluated and nothing for taking it back.
     pub cost_propagations: u64,
     /// Number of nodes chosen for materialization (cold: computed and
     /// written by this batch's plan).

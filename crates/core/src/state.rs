@@ -4,12 +4,27 @@
 //! bottom-up recomputation per call would dominate optimization time. The
 //! incremental algorithm starts at the nodes whose materialization status
 //! changed and propagates cost changes strictly upward in topological
-//! order through a priority heap (`PropHeap`), so each affected node is
-//! recomputed at most once per update.
+//! order through a priority heap, so each affected node is recomputed at
+//! most once per update.
+//!
+//! Propagation is op-granular: what changes first is the cost of single
+//! *ops* — the consumers of the changed group, the temp-indexed ops
+//! watching it, and the parent ops of a node whose cost moved. Only those
+//! are marked dirty and re-evaluated; a popped node then takes the
+//! minimum over its cached op costs in op order (first strict minimum, as
+//! [`CostTable::recompute_node`] does), so the table is bit-identical to
+//! a node-granular update.
+//!
+//! A benefit probe ([`CostState::probe`]) adds a node, reads the total
+//! and takes the node back out. Instead of a second, reverse propagation
+//! it logs every cost it overwrites on the way up and restores the log
+//! backwards. The heap, the flags and the log are scratch buffers kept in
+//! the state, so a probe allocates nothing once the first one has sized
+//! them.
 
 use crate::OptStats;
 use mqo_cost::Cost;
-use mqo_physical::{CostTable, MatSet, PhysNodeId, PhysicalDag};
+use mqo_physical::{CostTable, MatSet, PhysNodeId, PhysOpId, PhysicalDag};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -27,19 +42,57 @@ pub struct CostState {
     /// materialization cost, so the search plans *around* the warm cache
     /// instead of re-paying for it. Empty outside a session.
     pub warm: MatSet,
+    scratch: Scratch,
+}
+
+/// The buffers of one propagation, reused across calls. Between calls
+/// the heap and the log are empty and every flag is clear.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Nodes awaiting re-evaluation, lowest topological number first.
+    heap: BinaryHeap<Reverse<(u32, PhysNodeId)>>,
+    /// Per node: already in `heap`.
+    queued: Vec<bool>,
+    /// Per op: an input or its temp dependence changed since its cost
+    /// was last evaluated.
+    dirty: Vec<bool>,
+    /// Op costs as they were before each write, oldest first.
+    op_log: Vec<(PhysOpId, Cost)>,
+    /// `(node_cost, best_op)` pairs as they were before each write,
+    /// oldest first.
+    node_log: Vec<(PhysNodeId, Cost, Option<PhysOpId>)>,
+}
+
+impl Scratch {
+    /// Marks op `o` dirty and queues its node.
+    fn mark(&mut self, pdag: &PhysicalDag, o: PhysOpId) {
+        self.dirty[o.index()] = true;
+        let node = pdag.op(o).node;
+        if !self.queued[node.index()] {
+            self.queued[node.index()] = true;
+            self.heap.push(Reverse((pdag.node(node).topo, node)));
+        }
+    }
 }
 
 impl CostState {
+    fn with_mat(pdag: &PhysicalDag, mat: MatSet, warm: MatSet) -> Self {
+        CostState {
+            table: CostTable::compute(pdag, &mat),
+            mat,
+            warm,
+            scratch: Scratch {
+                queued: vec![false; pdag.num_nodes()],
+                dirty: vec![false; pdag.num_ops()],
+                ..Scratch::default()
+            },
+        }
+    }
+
     /// Full computation with an empty materialized set (plain Volcano).
     #[must_use]
     pub fn new(pdag: &PhysicalDag) -> Self {
-        let mat = MatSet::new();
-        let table = CostTable::compute(pdag, &mat);
-        CostState {
-            table,
-            mat,
-            warm: MatSet::new(),
-        }
+        Self::with_mat(pdag, MatSet::new(), MatSet::new())
     }
 
     /// Full computation with the warm set pre-materialized — the
@@ -51,12 +104,7 @@ impl CostState {
         for n in warm.iter() {
             mat.insert(pdag, n);
         }
-        let table = CostTable::compute(pdag, &mat);
-        CostState {
-            table,
-            mat,
-            warm: warm.clone(),
-        }
+        Self::with_mat(pdag, mat, warm.clone())
     }
 
     /// `bestcost(Q, mat)` (paper §4): root cost plus compute+materialize
@@ -70,7 +118,7 @@ impl CostState {
     /// Adds `n` to the materialized set, incrementally updating costs.
     pub fn add_mat(&mut self, pdag: &PhysicalDag, n: PhysNodeId, stats: &mut OptStats) {
         if self.mat.insert(pdag, n) {
-            self.propagate(pdag, n, stats);
+            self.propagate(pdag, n, stats, false);
         }
     }
 
@@ -78,43 +126,93 @@ impl CostState {
     /// costs.
     pub fn remove_mat(&mut self, pdag: &PhysicalDag, n: PhysNodeId, stats: &mut OptStats) {
         if self.mat.remove(pdag, n) {
-            self.propagate(pdag, n, stats);
+            self.propagate(pdag, n, stats, false);
         }
     }
 
-    /// Figure 5: propagate the status change of `n` upward. Seeds are the
-    /// consumers of any variant of `n`'s group (their charged input cost
-    /// `C` changed) and the reuse-sensitive ops watching the group
-    /// (temp-indexed selects/joins); changes then ripple to parents in
-    /// topological order via the `PropHeap`.
-    fn propagate(&mut self, pdag: &PhysicalDag, n: PhysNodeId, stats: &mut OptStats) {
-        let mut heap: BinaryHeap<Reverse<(u32, PhysNodeId)>> = BinaryHeap::new();
-        let mut queued = vec![false; pdag.num_nodes()];
-        let push = |heap: &mut BinaryHeap<Reverse<(u32, PhysNodeId)>>,
-                    queued: &mut Vec<bool>,
-                    node: PhysNodeId| {
-            if !queued[node.index()] {
-                queued[node.index()] = true;
-                heap.push(Reverse((pdag.node(node).topo, node)));
-            }
-        };
+    /// `bestcost` with `n` added to the materialized set, probed in
+    /// place: the state afterwards is bit-identical to before — table,
+    /// best ops and set, per-group [`MatSet::variants_of`] order
+    /// included. The addition propagates once while logging every cost
+    /// it overwrites; the log is then restored in reverse, so undoing the
+    /// probe costs no second propagation (and counts none in
+    /// [`OptStats::cost_propagations`]). Removing the node just pushed
+    /// leaves the order of the other variants of its group as it was.
+    /// Probing a node already in the set returns the current total.
+    // mqo-analyze: allow(mut-self-entry): mutates only the caller's search-local state and restores it, like `removal_gains`
+    pub fn probe(&mut self, pdag: &PhysicalDag, n: PhysNodeId, stats: &mut OptStats) -> Cost {
+        if !self.mat.insert(pdag, n) {
+            return self.total(pdag);
+        }
+        self.propagate(pdag, n, stats, true);
+        let total = self.total(pdag);
+        self.mat.remove(pdag, n);
+        self.restore();
+        total
+    }
+
+    /// Undoes the logged writes, newest first.
+    fn restore(&mut self) {
+        let Self { table, scratch, .. } = self;
+        for (o, c) in scratch.op_log.drain(..).rev() {
+            table.op_cost[o.index()] = c;
+        }
+        for (n, c, best) in scratch.node_log.drain(..).rev() {
+            table.node_cost[n.index()] = c;
+            table.best_op[n.index()] = best;
+        }
+    }
+
+    /// Figure 5: propagate the status change of `n` upward. The seeds are
+    /// the consumers of any variant of `n`'s group (their charged input
+    /// cost `C` changed) and the reuse-sensitive ops watching the group
+    /// (temp-indexed selects/joins); a node whose cost changes dirties
+    /// its parent ops, in topological order via the heap. With `log`,
+    /// every overwritten cost is recorded for [`CostState::restore`].
+    fn propagate(&mut self, pdag: &PhysicalDag, n: PhysNodeId, stats: &mut OptStats, log: bool) {
+        let Self {
+            table,
+            mat,
+            scratch,
+            ..
+        } = self;
         let group = pdag.node(n).group;
         for &v in pdag.variants(group) {
             for &p in &pdag.node(v).parents {
-                push(&mut heap, &mut queued, pdag.op(p).node);
+                scratch.mark(pdag, p);
             }
         }
         for &w in pdag.temp_watchers(group) {
-            push(&mut heap, &mut queued, pdag.op(w).node);
+            scratch.mark(pdag, w);
         }
-        while let Some(Reverse((_, node))) = heap.pop() {
-            queued[node.index()] = false;
+        while let Some(Reverse((_, node))) = scratch.heap.pop() {
+            scratch.queued[node.index()] = false;
             stats.cost_propagations += 1;
-            let changed = self.table.recompute_node(pdag, &self.mat, node);
-            if changed {
+            let mut best = Cost::INFINITY;
+            let mut best_op = None;
+            for &o in &pdag.node(node).ops {
+                if scratch.dirty[o.index()] {
+                    scratch.dirty[o.index()] = false;
+                    let c = table.eval_op(pdag, mat, o);
+                    let old = std::mem::replace(&mut table.op_cost[o.index()], c);
+                    if log {
+                        scratch.op_log.push((o, old));
+                    }
+                }
+                let c = table.op_cost[o.index()];
+                if c < best {
+                    best = c;
+                    best_op = Some(o);
+                }
+            }
+            let old = std::mem::replace(&mut table.node_cost[node.index()], best);
+            let old_op = std::mem::replace(&mut table.best_op[node.index()], best_op);
+            if log {
+                scratch.node_log.push((node, old, old_op));
+            }
+            if old != best {
                 for &p in &pdag.node(node).parents {
-                    let pn = pdag.op(p).node;
-                    push(&mut heap, &mut queued, pn);
+                    scratch.mark(pdag, p);
                 }
             }
         }
@@ -127,11 +225,13 @@ impl CostState {
     }
 
     /// Total-cost reduction from *removing* each of `nodes`, probed in
-    /// place: remove, read the total, re-add. Used by descent passes
+    /// place: remove, read the total, restore. Used by descent passes
     /// (e.g. the KS15 strategy's pruning step) that repeatedly ask
     /// "which member is now deadweight?".
     ///
-    /// The re-add restores the set as it was, not just its members: a
+    /// The removal propagates once with its writes logged, and the log
+    /// is restored in reverse, as in [`CostState::probe`]. The set is
+    /// restored by copying it back, not by re-inserting the node: a
     /// plain [`MatSet::insert`] would put the node at the back of its
     /// group's [`MatSet::variants_of`] list, the list reuse picks its
     /// source from, and a later probe would see a different state. So
@@ -150,10 +250,13 @@ impl CostState {
             .iter()
             .map(|&n| {
                 stats.benefit_recomputations += 1;
-                self.remove_mat(pdag, n, stats);
+                if !self.mat.remove(pdag, n) {
+                    return (before - self.total(pdag)).secs();
+                }
+                self.propagate(pdag, n, stats, true);
                 let after = self.total(pdag);
                 self.mat.clone_from(&mat);
-                self.propagate(pdag, n, stats);
+                self.restore();
                 (before - after).secs()
             })
             .collect()
@@ -217,47 +320,106 @@ mod tests {
         (cat, dag, pdag)
     }
 
-    /// The incremental update must agree exactly with a full
-    /// recomputation after every add/remove — the central invariant.
+    fn bits(costs: &[Cost]) -> Vec<u64> {
+        costs.iter().map(|c| c.secs().to_bits()).collect()
+    }
+
+    /// Every node and op cost and every best op of `state`, bit for bit,
+    /// against a full recomputation under its set.
+    fn assert_exact(pdag: &PhysicalDag, state: &CostState, what: &str) {
+        let oracle = CostTable::compute(pdag, &state.mat);
+        assert_eq!(
+            bits(&state.table.node_cost),
+            bits(&oracle.node_cost),
+            "node costs after {what}"
+        );
+        assert_eq!(
+            bits(&state.table.op_cost),
+            bits(&oracle.op_cost),
+            "op costs after {what}"
+        );
+        assert_eq!(state.table.best_op, oracle.best_op, "best ops after {what}");
+    }
+
+    /// Every variant of a sharable group: the candidates Greedy probes.
+    fn sharable_variants(dag: &Dag, pdag: &PhysicalDag) -> Vec<PhysNodeId> {
+        let mut cands: Vec<PhysNodeId> = Vec::new();
+        for (g, _) in mqo_dag::sharable_groups(dag) {
+            cands.extend(pdag.variants(g).iter().copied());
+        }
+        assert!(!cands.is_empty(), "expected sharable candidates");
+        cands
+    }
+
+    /// The incremental update agrees exactly — bit for bit, best ops
+    /// included — with a full recomputation after every add/remove: the
+    /// central invariant.
     #[test]
     fn incremental_matches_full_recompute() {
         let (_cat, dag, pdag) = context();
         let mut stats = OptStats::default();
         let mut state = CostState::new(&pdag);
-        // candidate nodes: every variant of every sharable group
-        let mut cands: Vec<PhysNodeId> = Vec::new();
-        for (g, _) in mqo_dag::sharable_groups(&dag) {
-            cands.extend(pdag.variants(g).iter().copied());
-        }
-        assert!(!cands.is_empty(), "expected sharable candidates");
+        let cands = sharable_variants(&dag, &pdag);
         for (i, &n) in cands.iter().enumerate() {
             state.add_mat(&pdag, n, &mut stats);
-            let oracle = CostTable::compute(&pdag, &state.mat);
-            for idx in 0..pdag.num_nodes() {
-                let a = state.table.node_cost[idx];
-                let b = oracle.node_cost[idx];
-                assert!(
-                    (a.secs() - b.secs()).abs() < 1e-9
-                        || (a == Cost::INFINITY && b == Cost::INFINITY),
-                    "node {idx} diverged after add {i}: {a} vs {b}"
-                );
-            }
+            assert_exact(&pdag, &state, &format!("add {i}"));
         }
         // now remove in arbitrary order and re-check
-        for &n in cands.iter().rev() {
+        for (i, &n) in cands.iter().rev().enumerate() {
             state.remove_mat(&pdag, n, &mut stats);
-            let oracle = CostTable::compute(&pdag, &state.mat);
-            for idx in 0..pdag.num_nodes() {
-                let a = state.table.node_cost[idx];
-                let b = oracle.node_cost[idx];
-                assert!(
-                    (a.secs() - b.secs()).abs() < 1e-9
-                        || (a == Cost::INFINITY && b == Cost::INFINITY),
-                    "node {idx} diverged after remove: {a} vs {b}"
-                );
-            }
+            assert_exact(&pdag, &state, &format!("remove {i}"));
         }
         assert!(stats.cost_propagations > 0);
+    }
+
+    /// A probe returns the total a cloned state reports after `add_mat`,
+    /// bit for bit, and leaves the table, the best ops and the set (with
+    /// every group's variant order) exactly as they were — across a sweep
+    /// that commits two candidates of every three in between.
+    #[test]
+    fn probe_leaves_state_bit_identical() {
+        let (_cat, dag, pdag) = context();
+        let mut stats = OptStats::default();
+        let mut state = CostState::new(&pdag);
+        let cands = sharable_variants(&dag, &pdag);
+        let variant_lists = |s: &CostState| -> Vec<Vec<PhysNodeId>> {
+            cands
+                .iter()
+                .map(|&n| s.mat.variants_of(pdag.node(n).group).to_vec())
+                .collect()
+        };
+        let mut probed = 0;
+        for (i, &n) in cands.iter().enumerate() {
+            let before = state.clone();
+            let mut added = state.clone();
+            added.add_mat(&pdag, n, &mut OptStats::default());
+            let got = state.probe(&pdag, n, &mut stats);
+            assert_eq!(
+                got.secs().to_bits(),
+                added.total(&pdag).secs().to_bits(),
+                "probe {i}"
+            );
+            assert_eq!(bits(&state.table.node_cost), bits(&before.table.node_cost));
+            assert_eq!(bits(&state.table.op_cost), bits(&before.table.op_cost));
+            assert_eq!(state.table.best_op, before.table.best_op);
+            assert_eq!(
+                state.mat.iter().collect::<Vec<_>>(),
+                before.mat.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(variant_lists(&state), variant_lists(&before));
+            probed += usize::from(!before.mat.contains(n));
+            if i % 3 != 2 {
+                state.add_mat(&pdag, n, &mut stats);
+                assert_exact(&pdag, &state, &format!("commit {i}"));
+            }
+        }
+        assert!(probed > 0);
+        assert!(
+            cands
+                .iter()
+                .any(|&n| state.mat.variants_of(pdag.node(n).group).len() > 1),
+            "the sweep should commit several variants of one group"
+        );
     }
 
     #[test]

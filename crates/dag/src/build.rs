@@ -132,6 +132,14 @@ pub(crate) fn compute_props(
     }
 }
 
+/// [`compute_props`] as the `props` argument of [`Dag::insert_expr`], which
+/// runs it only when the expression is new.
+pub(crate) fn lazy_props<'e>(
+    est: &'e Estimator<'_>,
+) -> impl FnOnce(&Dag, &OpKind, &[GroupId]) -> GroupProps + 'e {
+    move |dag, kind, inputs| compute_props(dag, est, kind, inputs)
+}
+
 /// Inserts a logical plan tree bottom-up; returns its root group.
 fn insert_plan(dag: &mut Dag, est: &Estimator<'_>, plan: &LogicalPlan) -> GroupId {
     let (kind, inputs) = match plan {
@@ -162,8 +170,7 @@ fn insert_plan(dag: &mut Dag, est: &Estimator<'_>, plan: &LogicalPlan) -> GroupI
             (OpKind::Project(cols), vec![g])
         }
     };
-    let props = compute_props(dag, est, &kind, &inputs);
-    let (g, _, _) = dag.insert_expr(kind, inputs, move || props, false, false);
+    let (g, _, _) = dag.insert_expr(kind, inputs, lazy_props(est), false, false);
     g
 }
 

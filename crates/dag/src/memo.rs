@@ -332,7 +332,7 @@ impl Dag {
         for g in &mut inputs {
             *g = self.find_mut(*g);
         }
-        let key = (kind.clone(), inputs.clone());
+        let key = (kind, inputs);
         if let Some(&existing) = self.index.get(&key) {
             debug_assert!(self.ops[existing.index()].alive);
             let eg = self.op_group(existing);
@@ -348,32 +348,49 @@ impl Dag {
             Some(t) => self.find_mut(t),
             None => panic!("insert_op without target for unknown expression; use insert_expr"),
         };
+        (
+            group,
+            self.push_op(key, group, from_subsumption, from_commutativity),
+            true,
+        )
+    }
+
+    /// Appends a new op (known to be absent from the index) to `group`.
+    fn push_op(
+        &mut self,
+        key: (OpKind, Vec<GroupId>),
+        group: GroupId,
+        from_subsumption: bool,
+        from_commutativity: bool,
+    ) -> OpId {
         let id = OpId::from_index(self.ops.len());
         self.ops.push(Operation {
-            kind,
-            inputs: inputs.clone(),
+            kind: key.0.clone(),
+            inputs: key.1.clone(),
             group,
             alive: true,
             from_subsumption,
             from_commutativity,
             key: key.clone(),
         });
-        self.index.insert(key, id);
         self.version += 1;
         self.groups[group.index()].ops.push(id);
-        for g in inputs {
+        for g in &key.1 {
             self.groups[g.index()].parents.push(id);
         }
-        (group, id, true)
+        self.index.insert(key, id);
+        id
     }
 
     /// Find-or-create: returns the group computing `kind(inputs)`,
-    /// creating a fresh group with `props` when the expression is new.
+    /// creating a fresh group when the expression is new. `props` gives
+    /// the new group's properties from the DAG, the kind and the resolved
+    /// inputs; it runs only on a miss.
     pub(crate) fn insert_expr(
         &mut self,
         kind: OpKind,
         inputs: Vec<GroupId>,
-        props: impl FnOnce() -> GroupProps,
+        props: impl FnOnce(&Dag, &OpKind, &[GroupId]) -> GroupProps,
         from_subsumption: bool,
         from_commutativity: bool,
     ) -> (GroupId, OpId, bool) {
@@ -381,17 +398,15 @@ impl Dag {
         for g in &mut resolved {
             *g = self.find_mut(*g);
         }
-        let key = (kind.clone(), resolved.clone());
+        let key = (kind, resolved);
         if let Some(&existing) = self.index.get(&key) {
             return (self.op_group(existing), existing, false);
         }
-        let g = self.new_group(props());
-        self.insert_op(
-            kind,
-            resolved,
-            Some(g),
-            from_subsumption,
-            from_commutativity,
+        let g = self.new_group(props(self, &key.0, &key.1));
+        (
+            g,
+            self.push_op(key, g, from_subsumption, from_commutativity),
+            true,
         )
     }
 
@@ -687,7 +702,7 @@ mod tests {
         let (ga, _, new_a) = dag.insert_expr(
             OpKind::Scan(TableId(0)),
             vec![],
-            || props(10.0, 0),
+            |_, _, _| props(10.0, 0),
             false,
             false,
         );
@@ -695,7 +710,7 @@ mod tests {
         let (ga2, _, new_a2) = dag.insert_expr(
             OpKind::Scan(TableId(0)),
             vec![],
-            || props(10.0, 0),
+            |_, _, _| props(10.0, 0),
             false,
             false,
         );
@@ -711,14 +726,14 @@ mod tests {
         let (a, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(0)),
             vec![],
-            || props(10.0, 0),
+            |_, _, _| props(10.0, 0),
             false,
             false,
         );
         let (b, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(1)),
             vec![],
-            || props(10.0, 1),
+            |_, _, _| props(10.0, 1),
             false,
             false,
         );
@@ -749,21 +764,21 @@ mod tests {
         let (r0, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(0)),
             vec![],
-            || props(10.0, 0),
+            |_, _, _| props(10.0, 0),
             false,
             false,
         );
         let (r1, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(1)),
             vec![],
-            || props(10.0, 1),
+            |_, _, _| props(10.0, 1),
             false,
             false,
         );
         let (r2, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(2)),
             vec![],
-            || props(10.0, 2),
+            |_, _, _| props(10.0, 2),
             false,
             false,
         );
@@ -808,14 +823,14 @@ mod tests {
         let (a, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(0)),
             vec![],
-            || props(10.0, 0),
+            |_, _, _| props(10.0, 0),
             false,
             false,
         );
         let (b, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(1)),
             vec![],
-            || props(10.0, 1),
+            |_, _, _| props(10.0, 1),
             false,
             false,
         );
@@ -823,7 +838,7 @@ mod tests {
         let (j, _, _) = dag.insert_expr(
             OpKind::Join(p),
             vec![a, b],
-            || join_props(100.0, &[0, 1]),
+            |_, _, _| join_props(100.0, &[0, 1]),
             false,
             false,
         );
@@ -844,14 +859,14 @@ mod tests {
         let (a, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(0)),
             vec![],
-            || props(10.0, 0),
+            |_, _, _| props(10.0, 0),
             false,
             false,
         );
         let (b, _, _) = dag.insert_expr(
             OpKind::Scan(TableId(1)),
             vec![],
-            || props(10.0, 1),
+            |_, _, _| props(10.0, 1),
             false,
             false,
         );

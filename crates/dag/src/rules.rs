@@ -8,7 +8,7 @@
 //! groups — exactly the mechanism the paper uses to detect common
 //! subexpressions syntactically hidden by different join orders.
 
-use crate::build::compute_props;
+use crate::build::lazy_props;
 use crate::memo::{Dag, GroupId, OpId, OpKind};
 use mqo_catalog::ColId;
 use mqo_cost::Estimator;
@@ -30,16 +30,12 @@ pub(crate) fn apply_all(dag: &mut Dag, est: &Estimator<'_>) {
             if !dag.op(oid).alive {
                 continue;
             }
-            match dag.op(oid).kind.clone() {
-                OpKind::Join(pred) => {
-                    commute(dag, oid, &pred, &mut commuted);
-                    associate(dag, est, oid, &pred, &mut assoc_pairs);
-                }
-                OpKind::Select(pred) => {
-                    push_down(dag, est, oid, &pred, &mut push_pairs);
-                    push_through_project(dag, est, oid, &pred, &mut project_pairs);
-                }
-                _ => {}
+            if matches!(dag.op(oid).kind, OpKind::Join(_)) {
+                commute(dag, oid, &mut commuted);
+                associate(dag, est, oid, &mut assoc_pairs);
+            } else if matches!(dag.op(oid).kind, OpKind::Select(_)) {
+                push_down(dag, est, oid, &mut push_pairs);
+                push_through_project(dag, est, oid, &mut project_pairs);
             }
             if dag.ops_allocated() > dag.config.max_ops {
                 return; // safety valve: leave the DAG partially expanded
@@ -51,90 +47,91 @@ pub(crate) fn apply_all(dag: &mut Dag, est: &Estimator<'_>) {
     }
 }
 
+/// The predicate of a join or select op.
+fn pred_of(dag: &Dag, o: OpId) -> Option<&Predicate> {
+    match &dag.op(o).kind {
+        OpKind::Join(p) | OpKind::Select(p) => Some(p),
+        _ => None,
+    }
+}
+
+/// The alive join ops of group `g`.
+fn child_joins(dag: &Dag, g: GroupId) -> Vec<OpId> {
+    dag.group_ops(g)
+        .filter(|&o| matches!(dag.op(o).kind, OpKind::Join(_)))
+        .collect()
+}
+
 /// Join commutativity: `J(l, r) → J(r, l)`. Applied once per op; the
 /// derived twin is flagged so it is never commuted back ([PGLK97]).
-fn commute(dag: &mut Dag, oid: OpId, pred: &Predicate, commuted: &mut FxHashSet<OpId>) {
+fn commute(dag: &mut Dag, oid: OpId, commuted: &mut FxHashSet<OpId>) {
     if dag.op(oid).from_commutativity || !commuted.insert(oid) {
         return;
     }
+    let Some(pred) = pred_of(dag, oid) else {
+        return;
+    };
+    let kind = OpKind::Join(pred.clone());
     let ins = dag.op_inputs(oid);
     let group = dag.op_group(oid);
-    dag.insert_op(
-        OpKind::Join(pred.clone()),
-        vec![ins[1], ins[0]],
-        Some(group),
-        false,
-        true,
-    );
+    dag.insert_op(kind, vec![ins[1], ins[0]], Some(group), false, true);
 }
 
 /// Join associativity: `(A ⋈ B) ⋈ C → A ⋈ (B ⋈ C)`, with the predicate
 /// conjuncts re-distributed between the new joins by column coverage.
 /// Together with commutativity this reaches every bushy join order.
-fn associate(
-    dag: &mut Dag,
-    est: &Estimator<'_>,
-    oid: OpId,
-    pred: &Predicate,
-    done: &mut FxHashSet<(OpId, OpId)>,
-) {
-    let [outer_l, outer_r] = dag.op_inputs(oid)[..] else {
+fn associate(dag: &mut Dag, est: &Estimator<'_>, oid: OpId, done: &mut FxHashSet<(OpId, OpId)>) {
+    let [outer_l, c] = dag.op_inputs(oid)[..] else {
         return;
     };
     // join predicates must be pure conjunctions to re-distribute
-    let Some(outer_conj) = single_conjunct(pred) else {
+    if pred_of(dag, oid).and_then(single_conjunct).is_none() {
         return;
-    };
-    let child_joins: Vec<(OpId, Predicate)> = dag
-        .group_ops(outer_l)
-        .filter_map(|o| match &dag.op(o).kind {
-            OpKind::Join(p) => Some((o, p.clone())),
-            _ => None,
-        })
-        .collect();
+    }
     let group = dag.op_group(oid);
-    for (child, child_pred) in child_joins {
+    for child in child_joins(dag, outer_l) {
         if !done.insert((oid, child)) {
             continue;
         }
-        let Some(child_conj) = single_conjunct(&child_pred) else {
-            continue;
-        };
         let [a, b] = dag.op_inputs(child)[..] else {
             continue;
         };
-        let c = outer_r;
-        // pool of conjuncts to re-distribute
-        let mut pool: Vec<Atom> = outer_conj.atoms().to_vec();
-        pool.extend(child_conj.atoms().iter().cloned());
-        let cols_a = col_set(dag, a);
-        let cols_bc: FxHashSet<ColId> = col_set(dag, b).union(&col_set(dag, c)).copied().collect();
-        let (inner_atoms, outer_atoms): (Vec<Atom>, Vec<Atom>) = pool
-            .into_iter()
-            .partition(|at| atom_cols(at).iter().all(|col| cols_bc.contains(col)));
+        let (Some(outer_conj), Some(child_conj)) = (
+            pred_of(dag, oid).and_then(single_conjunct),
+            pred_of(dag, child).and_then(single_conjunct),
+        ) else {
+            continue;
+        };
+        let (cols_a, cols_b, cols_c) = (
+            &dag.group(a).cols[..],
+            &dag.group(b).cols[..],
+            &dag.group(c).cols[..],
+        );
+        let in_bc = |col: ColId| has(cols_b, col) || has(cols_c, col);
+        // the pool of conjuncts to re-distribute
+        let (inner_atoms, outer_atoms): (Vec<Atom>, Vec<Atom>) = outer_conj
+            .atoms()
+            .iter()
+            .chain(child_conj.atoms())
+            .cloned()
+            .partition(|at| atom_cols(at).all(in_bc));
         if !dag.config.allow_cross_products {
             // inner join must connect B and C; outer must connect A to BC
-            let cols_b = col_set(dag, b);
-            let cols_c = col_set(dag, c);
             let inner_connected = inner_atoms.iter().any(|at| {
-                let cs = atom_cols(at);
-                cs.iter().any(|c| cols_b.contains(c)) && cs.iter().any(|c| cols_c.contains(c))
+                atom_cols(at).any(|col| has(cols_b, col))
+                    && atom_cols(at).any(|col| has(cols_c, col))
             });
-            let outer_connected = outer_atoms.iter().any(|at| {
-                let cs = atom_cols(at);
-                cs.iter().any(|c| cols_a.contains(c)) && cs.iter().any(|c| cols_bc.contains(c))
-            });
+            let outer_connected = outer_atoms
+                .iter()
+                .any(|at| atom_cols(at).any(|col| has(cols_a, col)) && atom_cols(at).any(in_bc));
             if !inner_connected || !outer_connected {
                 continue;
             }
         }
-        let inner_pred = Predicate::all(inner_atoms);
-        let outer_pred = Predicate::all(outer_atoms);
-        let inner_kind = OpKind::Join(inner_pred);
-        let props = compute_props(dag, est, &inner_kind, &[b, c]);
-        let (bc, _, _) = dag.insert_expr(inner_kind, vec![b, c], || props, false, false);
+        let inner_kind = OpKind::Join(Predicate::all(inner_atoms));
+        let (bc, _, _) = dag.insert_expr(inner_kind, vec![b, c], lazy_props(est), false, false);
         dag.insert_op(
-            OpKind::Join(outer_pred),
+            OpKind::Join(Predicate::all(outer_atoms)),
             vec![a, bc],
             Some(group),
             false,
@@ -145,44 +142,35 @@ fn associate(
 
 /// Select push-down: `σ_p(A ⋈ B) → σ_rest(σ_pA(A) ⋈ σ_pB(B))`, moving each
 /// conjunct to the lowest side that covers its columns.
-fn push_down(
-    dag: &mut Dag,
-    est: &Estimator<'_>,
-    oid: OpId,
-    pred: &Predicate,
-    done: &mut FxHashSet<(OpId, OpId)>,
-) {
+fn push_down(dag: &mut Dag, est: &Estimator<'_>, oid: OpId, done: &mut FxHashSet<(OpId, OpId)>) {
     let [input] = dag.op_inputs(oid)[..] else {
         return;
     };
-    let Some(conj) = single_conjunct(pred) else {
+    if pred_of(dag, oid).and_then(single_conjunct).is_none() {
         return;
-    };
-    let child_joins: Vec<(OpId, Predicate)> = dag
-        .group_ops(input)
-        .filter_map(|o| match &dag.op(o).kind {
-            OpKind::Join(p) => Some((o, p.clone())),
-            _ => None,
-        })
-        .collect();
+    }
     let group = dag.op_group(oid);
-    for (child, join_pred) in child_joins {
+    for child in child_joins(dag, input) {
         if !done.insert((oid, child)) {
             continue;
         }
         let [l, r] = dag.op_inputs(child)[..] else {
             continue;
         };
-        let cols_l = col_set(dag, l);
-        let cols_r = col_set(dag, r);
+        let (Some(conj), Some(join_pred)) = (
+            pred_of(dag, oid).and_then(single_conjunct),
+            pred_of(dag, child),
+        ) else {
+            continue;
+        };
+        let (cols_l, cols_r) = (&dag.group(l).cols[..], &dag.group(r).cols[..]);
         let mut pl = Vec::new();
         let mut pr = Vec::new();
         let mut rest = Vec::new();
         for at in conj.atoms() {
-            let cs = atom_cols(at);
-            if cs.iter().all(|c| cols_l.contains(c)) {
+            if atom_cols(at).all(|col| has(cols_l, col)) {
                 pl.push(at.clone());
-            } else if cs.iter().all(|c| cols_r.contains(c)) {
+            } else if atom_cols(at).all(|col| has(cols_r, col)) {
                 pr.push(at.clone());
             } else {
                 rest.push(at.clone());
@@ -191,13 +179,13 @@ fn push_down(
         if pl.is_empty() && pr.is_empty() {
             continue; // nothing pushes
         }
+        let join_pred = join_pred.clone();
         let side = |side_group: GroupId, atoms: Vec<Atom>, dag: &mut Dag| -> GroupId {
             if atoms.is_empty() {
                 return side_group;
             }
             let kind = OpKind::Select(Predicate::all(atoms));
-            let props = compute_props(dag, est, &kind, &[side_group]);
-            let (g, _, _) = dag.insert_expr(kind, vec![side_group], || props, false, false);
+            let (g, _, _) = dag.insert_expr(kind, vec![side_group], lazy_props(est), false, false);
             g
         };
         let l2 = side(l, pl, dag);
@@ -212,8 +200,7 @@ fn push_down(
             );
         } else {
             let jk = OpKind::Join(join_pred);
-            let props = compute_props(dag, est, &jk, &[l2, r2]);
-            let (j, _, _) = dag.insert_expr(jk, vec![l2, r2], || props, false, false);
+            let (j, _, _) = dag.insert_expr(jk, vec![l2, r2], lazy_props(est), false, false);
             dag.insert_op(
                 OpKind::Select(Predicate::all(rest)),
                 vec![j],
@@ -233,37 +220,30 @@ fn push_through_project(
     dag: &mut Dag,
     est: &Estimator<'_>,
     oid: OpId,
-    pred: &Predicate,
     done: &mut FxHashSet<(OpId, OpId)>,
 ) {
     let [input] = dag.op_inputs(oid)[..] else {
         return;
     };
-    let child_projects: Vec<(OpId, Vec<ColId>)> = dag
+    let child_projects: Vec<OpId> = dag
         .group_ops(input)
-        .filter_map(|o| match &dag.op(o).kind {
-            OpKind::Project(cols) => Some((o, cols.clone())),
-            _ => None,
-        })
+        .filter(|&o| matches!(dag.op(o).kind, OpKind::Project(_)))
         .collect();
     let group = dag.op_group(oid);
-    for (child, cols) in child_projects {
+    for child in child_projects {
         if !done.insert((oid, child)) {
             continue;
         }
         let [e] = dag.op_inputs(child)[..] else {
             continue;
         };
-        let sel_kind = OpKind::Select(pred.clone());
-        let props = compute_props(dag, est, &sel_kind, &[e]);
-        let (sel_g, _, _) = dag.insert_expr(sel_kind, vec![e], || props, false, false);
-        dag.insert_op(
-            OpKind::Project(cols),
-            vec![sel_g],
-            Some(group),
-            false,
-            false,
-        );
+        let (Some(pred), OpKind::Project(cols)) = (pred_of(dag, oid), &dag.op(child).kind) else {
+            continue;
+        };
+        let (sel_kind, project_kind) =
+            (OpKind::Select(pred.clone()), OpKind::Project(cols.clone()));
+        let (sel_g, _, _) = dag.insert_expr(sel_kind, vec![e], lazy_props(est), false, false);
+        dag.insert_op(project_kind, vec![sel_g], Some(group), false, false);
     }
 }
 
@@ -274,14 +254,19 @@ fn single_conjunct(p: &Predicate) -> Option<&Conjunct> {
     }
 }
 
-fn col_set(dag: &Dag, g: GroupId) -> FxHashSet<ColId> {
-    dag.group(g).cols.iter().copied().collect()
+/// Membership in a group's column set (sorted, see [`crate::Group::cols`]).
+fn has(cols: &[ColId], col: ColId) -> bool {
+    cols.binary_search(&col).is_ok()
 }
 
-fn atom_cols(a: &Atom) -> Vec<ColId> {
-    let mut v = Vec::new();
-    a.collect_cols(&mut v);
-    v
+/// The columns an atom references: one for a comparison with a constant
+/// or a parameter, two for a comparison between columns.
+fn atom_cols(a: &Atom) -> impl Iterator<Item = ColId> {
+    let (first, second) = match *a {
+        Atom::Cmp { col, .. } | Atom::Param { col, .. } => (col, None),
+        Atom::ColCmp { left, right, .. } => (left, Some(right)),
+    };
+    std::iter::once(first).chain(second)
 }
 
 #[cfg(test)]

@@ -20,71 +20,7 @@ use mqo_util::FxHashMap;
 /// The DAG must be rooted (`Dag::expand` output); panics otherwise.
 #[must_use]
 pub fn degree_of_sharing(dag: &Dag) -> FxHashMap<GroupId, f64> {
-    let order = dag.topo_order();
-    let mut result: FxHashMap<GroupId, f64> = FxHashMap::default();
-    let root = dag.root();
-    for &z in order {
-        if z == root {
-            result.insert(z, 1.0);
-            continue;
-        }
-        result.insert(z, degree_of(dag, z));
-    }
-    result
-}
-
-/// Degree of sharing of a single group (see module docs).
-///
-/// # Panics
-///
-/// The DAG must be rooted (`Dag::expand` output); panics otherwise.
-pub fn degree_of(dag: &Dag, z: GroupId) -> f64 {
-    let root = dag.root();
-    // Collect z's ancestor groups (via parent ops), then evaluate in
-    // topological order. Space stays O(ancestors) — the paper's
-    // "one z at a time" trick.
-    let mut ancestors: Vec<GroupId> = Vec::new();
-    let mut seen: FxHashMap<GroupId, ()> = FxHashMap::default();
-    let mut stack = vec![z];
-    seen.insert(z, ());
-    while let Some(g) = stack.pop() {
-        ancestors.push(g);
-        for op in dag.parents_of(g) {
-            let pg = dag.op_group(op);
-            if seen.insert(pg, ()).is_none() {
-                stack.push(pg);
-            }
-        }
-    }
-    ancestors.sort_by_key(|&g| dag.group(g).topo);
-    let mut val: FxHashMap<GroupId, f64> = FxHashMap::default();
-    val.insert(z, 1.0);
-    for &g in &ancestors {
-        if g == z {
-            continue;
-        }
-        let mut best = 0.0f64;
-        for op in dag.group_ops(g) {
-            let v = match &dag.op(op).kind {
-                OpKind::Root => {
-                    let weights = dag.root_weights();
-                    dag.op_inputs(op)
-                        .iter()
-                        .zip(weights)
-                        .map(|(i, w)| w * val.get(i).copied().unwrap_or(0.0))
-                        .sum::<f64>()
-                }
-                _ => dag
-                    .op_inputs(op)
-                    .iter()
-                    .map(|i| val.get(i).copied().unwrap_or(0.0))
-                    .sum::<f64>(),
-            };
-            best = best.max(v);
-        }
-        val.insert(g, best);
-    }
-    val.get(&root).copied().unwrap_or(0.0)
+    dag.topo_order().iter().copied().zip(degrees(dag)).collect()
 }
 
 /// Groups eligible for materialization: degree of sharing > 1, not the
@@ -92,21 +28,116 @@ pub fn degree_of(dag: &Dag, z: GroupId) -> f64 {
 /// shared across invocations), and not bare base-table scans with nothing
 /// applied (those *are* reusable, but reuse equals a rescan; they are
 /// still returned because a *sorted* materialization of a base table can
-/// pay off — the temp-index extension).
+/// pay off — the temp-index extension). In topological order.
 ///
 /// # Panics
 ///
 /// The DAG must be rooted (`Dag::expand` output); panics otherwise.
 #[must_use]
 pub fn sharable_groups(dag: &Dag) -> Vec<(GroupId, f64)> {
-    let degrees = degree_of_sharing(dag);
     let root = dag.root();
-    let mut out: Vec<(GroupId, f64)> = degrees
-        .into_iter()
+    dag.topo_order()
+        .iter()
+        .copied()
+        .zip(degrees(dag))
         .filter(|&(g, d)| g != root && d > 1.0 + 1e-9 && !dag.group(g).has_param)
+        .collect()
+}
+
+/// Degree of sharing per topological position, one `z` at a time (see
+/// module docs): collect `z`'s ancestors, then evaluate them bottom-up
+/// over dense arrays that are reset after each `z`. The parent lists and
+/// the op inputs, as positions, are built once per call. Each op sums its
+/// inputs in input order and each group takes the maximum over its ops in
+/// op order, so every degree is bit-identical to evaluating the same
+/// recursion over maps.
+fn degrees(dag: &Dag) -> Vec<f64> {
+    let order = dag.topo_order();
+    let n = order.len();
+    let root = dag.root();
+    let weights = dag.root_weights();
+    // A group's topological position; `n` for one outside the reachable
+    // part, which no reachable group reads, so its value stays zero.
+    let pos = |g: GroupId| -> usize {
+        let t = dag.group(g).topo as usize;
+        if order.get(t) == Some(&g) {
+            t
+        } else {
+            n
+        }
+    };
+    let parents: Vec<Vec<usize>> = order
+        .iter()
+        .map(|&g| {
+            dag.parents_of(g)
+                .into_iter()
+                .map(|o| pos(dag.op_group(o)))
+                .filter(|&t| t < n)
+                .collect()
+        })
         .collect();
-    out.sort_by_key(|&(g, _)| dag.group(g).topo);
-    out
+    // Per group, its ops as (is the pseudo-root op, input positions).
+    let ops: Vec<Vec<(bool, Vec<usize>)>> = order
+        .iter()
+        .map(|&g| {
+            dag.group_ops(g)
+                .map(|o| {
+                    let is_root = matches!(dag.op(o).kind, OpKind::Root);
+                    (is_root, dag.op_inputs(o).into_iter().map(pos).collect())
+                })
+                .collect()
+        })
+        .collect();
+    let mut degree = vec![0.0; n];
+    let mut val = vec![0.0f64; n + 1];
+    let mut seen = vec![false; n];
+    let mut ancestors: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    let root_at = pos(root);
+    for (z, &g) in order.iter().enumerate() {
+        if g == root {
+            degree[z] = 1.0;
+            continue;
+        }
+        seen[z] = true;
+        stack.push(z);
+        while let Some(t) = stack.pop() {
+            ancestors.push(t);
+            for &q in &parents[t] {
+                if !seen[q] {
+                    seen[q] = true;
+                    stack.push(q);
+                }
+            }
+        }
+        ancestors.sort_unstable();
+        val[z] = 1.0;
+        for &t in &ancestors {
+            if t == z {
+                continue;
+            }
+            let mut best = 0.0f64;
+            for (is_root, ins) in &ops[t] {
+                let v = if *is_root {
+                    ins.iter()
+                        .zip(weights)
+                        .map(|(&i, w)| w * val[i])
+                        .sum::<f64>()
+                } else {
+                    ins.iter().map(|&i| val[i]).sum::<f64>()
+                };
+                best = best.max(v);
+            }
+            val[t] = best;
+        }
+        degree[z] = val[root_at];
+        for &t in &ancestors {
+            val[t] = 0.0;
+            seen[t] = false;
+        }
+        ancestors.clear();
+    }
+    degree
 }
 
 #[cfg(test)]
@@ -116,6 +147,83 @@ mod tests {
     use mqo_catalog::Catalog;
     use mqo_expr::{Atom, Predicate};
     use mqo_logical::{Batch, LogicalPlan, Query};
+    use mqo_workloads::{Scaleup, Tpcd};
+
+    /// The per-`z` evaluation over hash maps the dense [`degrees`] pass
+    /// replaced — kept as its oracle.
+    fn degree_of(dag: &Dag, z: GroupId) -> f64 {
+        let root = dag.root();
+        let mut ancestors: Vec<GroupId> = Vec::new();
+        let mut seen: FxHashMap<GroupId, ()> = FxHashMap::default();
+        let mut stack = vec![z];
+        seen.insert(z, ());
+        while let Some(g) = stack.pop() {
+            ancestors.push(g);
+            for op in dag.parents_of(g) {
+                let pg = dag.op_group(op);
+                if seen.insert(pg, ()).is_none() {
+                    stack.push(pg);
+                }
+            }
+        }
+        ancestors.sort_by_key(|&g| dag.group(g).topo);
+        let mut val: FxHashMap<GroupId, f64> = FxHashMap::default();
+        val.insert(z, 1.0);
+        for &g in &ancestors {
+            if g == z {
+                continue;
+            }
+            let mut best = 0.0f64;
+            for op in dag.group_ops(g) {
+                let v = match &dag.op(op).kind {
+                    OpKind::Root => {
+                        let weights = dag.root_weights();
+                        dag.op_inputs(op)
+                            .iter()
+                            .zip(weights)
+                            .map(|(i, w)| w * val.get(i).copied().unwrap_or(0.0))
+                            .sum::<f64>()
+                    }
+                    _ => dag
+                        .op_inputs(op)
+                        .iter()
+                        .map(|i| val.get(i).copied().unwrap_or(0.0))
+                        .sum::<f64>(),
+                };
+                best = best.max(v);
+            }
+            val.insert(g, best);
+        }
+        val.get(&root).copied().unwrap_or(0.0)
+    }
+
+    /// The dense pass gives the oracle's degree, bit for bit, for every
+    /// group of the scale-up batches, BQ5 and Figure 6's standalone
+    /// TPC-D batches.
+    #[test]
+    fn dense_degrees_match_the_per_group_oracle() {
+        let scaleup = Scaleup::new(7);
+        let small = Tpcd::new(0.01);
+        let fig6 = Tpcd::new(1.0);
+        let mut inputs: Vec<(&Catalog, Batch)> =
+            (1..=5).map(|i| (&scaleup.catalog, scaleup.cq(i))).collect();
+        inputs.push((&small.catalog, small.bq(5)));
+        inputs.extend(
+            fig6.standalone()
+                .into_iter()
+                .map(|(_, b)| (&fig6.catalog, b)),
+        );
+        for (cat, batch) in inputs {
+            let dag = Dag::expand(&batch, cat, DagConfig::default());
+            let root = dag.root();
+            let dense = degree_of_sharing(&dag);
+            assert_eq!(dense.len(), dag.num_groups());
+            for &z in dag.topo_order() {
+                let want = if z == root { 1.0 } else { degree_of(&dag, z) };
+                assert_eq!(dense[&z].to_bits(), want.to_bits(), "group {z:?}");
+            }
+        }
+    }
 
     fn chain_catalog(n: usize) -> Catalog {
         let mut cat = Catalog::new();

@@ -10,7 +10,7 @@
 //! algorithms give them special treatment (Volcano-SH's pre-pass, greedy's
 //! benefit computation).
 
-use crate::build::compute_props;
+use crate::build::lazy_props;
 use crate::memo::{Dag, GroupId, OpId, OpKind};
 use mqo_catalog::ColId;
 use mqo_cost::Estimator;
@@ -95,8 +95,7 @@ fn add_select_derivations(dag: &mut Dag, est: &Estimator<'_>) {
                 .reduce(|a, b| a.or(&b))
                 .expect("non-empty");
             let kind = OpKind::Select(disj);
-            let props = compute_props(dag, est, &kind, &[input]);
-            let (g_disj, _, _) = dag.insert_expr(kind, vec![input], || props, true, false);
+            let (g_disj, _, _) = dag.insert_expr(kind, vec![input], lazy_props(est), true, false);
             for (v, g_eq) in eqs {
                 let g_eq = dag.find(g_eq);
                 if g_eq == dag.find(g_disj) {
@@ -171,8 +170,8 @@ fn add_aggregate_derivations(dag: &mut Dag, est: &Estimator<'_>) {
             keys: union_keys.clone(),
             aggs: aggs.clone(),
         };
-        let props = compute_props(dag, est, &union_kind, &[input]);
-        let (g_union, _, _) = dag.insert_expr(union_kind, vec![input], || props, true, false);
+        let (g_union, _, _) =
+            dag.insert_expr(union_kind, vec![input], lazy_props(est), true, false);
         let re_aggs: Vec<AggExpr> = aggs.iter().map(reagg).collect();
         for (keys, g) in entries {
             if keys == union_keys {

@@ -7,7 +7,7 @@ use mqo_catalog::{Catalog, ColId, TableId};
 use mqo_cost::{Cost, CostParams, Estimator};
 use mqo_dag::{Dag, GroupId, OpId, OpKind};
 use mqo_expr::{Atom, CmpOp, Predicate};
-use mqo_util::{FxHashMap, FxHashSet};
+use mqo_util::FxHashMap;
 
 mqo_util::id_type!(
     /// Identifies a physical node `(group, required property)`.
@@ -79,7 +79,8 @@ pub struct PhysicalDag {
     pub params: CostParams,
     nodes: Vec<PhysNode>,
     ops: Vec<PhysOp>,
-    index: FxHashMap<(GroupId, PhysProp), PhysNodeId>,
+    /// Variants per group, in creation order (at most a handful each: the
+    /// unordered node plus one per interesting order).
     by_group: FxHashMap<GroupId, Vec<PhysNodeId>>,
     /// Ops whose feasibility depends on a given group's materialization.
     temp_watchers: FxHashMap<GroupId, Vec<PhysOpId>>,
@@ -125,7 +126,10 @@ impl PhysicalDag {
     /// Looks up the node for `(group, prop)`.
     #[must_use]
     pub fn node_for(&self, g: GroupId, prop: &PhysProp) -> Option<PhysNodeId> {
-        self.index.get(&(g, prop.clone())).copied()
+        self.variants(g)
+            .iter()
+            .copied()
+            .find(|&n| self.nodes[n.index()].prop == *prop)
     }
 
     /// Ops that must be re-costed when `g`'s materialization changes.
@@ -203,7 +207,6 @@ impl PhysicalDag {
             params: self.params,
             nodes,
             ops,
-            index: FxHashMap::default(),
             by_group: FxHashMap::default(),
             temp_watchers: FxHashMap::default(),
             root: self.root,
@@ -263,7 +266,6 @@ impl PhysicalDag {
                 params,
                 nodes: Vec::new(),
                 ops: Vec::new(),
-                index: FxHashMap::default(),
                 by_group: FxHashMap::default(),
                 temp_watchers: FxHashMap::default(),
                 root: PhysNodeId(0),
@@ -312,14 +314,14 @@ impl<'a> Builder<'a> {
     /// Interesting orders, propagated parents-first so order-preserving
     /// operators pass requirements down to their inputs.
     fn collect_interesting_orders(&mut self) {
-        let order: Vec<GroupId> = self.dag.topo_order().to_vec();
-        for &g in order.iter().rev() {
-            for op in self.dag.group_ops(g) {
-                let inputs = self.dag.op_inputs(op);
-                match self.dag.op(op).kind.clone() {
+        let dag = self.dag;
+        for &g in dag.topo_order().iter().rev() {
+            for op in dag.group_ops(g) {
+                let inputs = dag.op_inputs(op);
+                match &dag.op(op).kind {
                     OpKind::Join(p) => {
                         let (l, r) = (inputs[0], inputs[1]);
-                        let pairs = equi_pairs(self.dag, &p, l, r);
+                        let pairs = equi_pairs(dag, p, l, r);
                         if pairs.is_empty() {
                             continue;
                         }
@@ -345,13 +347,12 @@ impl<'a> Builder<'a> {
                         }
                     }
                     OpKind::Aggregate { keys, .. } => {
-                        self.add_interesting(inputs[0], keys);
+                        self.add_interesting(inputs[0], keys.clone());
                     }
                     OpKind::Project(cols) => {
-                        let colset: FxHashSet<ColId> = cols.iter().copied().collect();
                         let own = self.interesting.get(&g).cloned().unwrap_or_default();
                         for k in own {
-                            if k.iter().all(|c| colset.contains(c)) {
+                            if k.iter().all(|c| cols.contains(c)) {
                                 self.add_interesting(inputs[0], k);
                             }
                         }
@@ -375,21 +376,20 @@ impl<'a> Builder<'a> {
     }
 
     fn new_node(&mut self, g: GroupId, prop: PhysProp) -> PhysNodeId {
-        if let Some(&id) = self.out.index.get(&(g, prop.clone())) {
+        if let Some(id) = self.out.node_for(g, &prop) {
             return id;
         }
         let grp = self.dag.group(g);
         let id = PhysNodeId::from_index(self.out.nodes.len());
         self.out.nodes.push(PhysNode {
             group: g,
-            prop: prop.clone(),
+            prop,
             ops: Vec::new(),
             parents: Vec::new(),
             rows: grp.rows,
             blocks: self.params.blocks(grp.rows, grp.width),
             topo: 0,
         });
-        self.out.index.insert((g, prop), id);
         self.out.by_group.entry(g).or_default().push(id);
         id
     }
@@ -450,9 +450,7 @@ impl<'a> Builder<'a> {
     /// panic rather than a typed diagnostic.
     fn node_of(&self, g: GroupId, prop: &PhysProp) -> PhysNodeId {
         self.out
-            .index
-            .get(&(g, prop.clone()))
-            .copied()
+            .node_for(g, prop)
             .unwrap_or_else(|| panic!("missing phys node ({g:?}, {prop})"))
     }
 
@@ -490,36 +488,32 @@ impl<'a> Builder<'a> {
     }
 
     fn create_ops(&mut self) {
-        let order: Vec<GroupId> = self.dag.topo_order().to_vec();
-        for &g in &order {
+        let dag = self.dag;
+        for &g in dag.topo_order() {
             let g_blocks = self.group_blocks(g);
-            let lops: Vec<OpId> = self.dag.group_ops(g).collect();
-            for lop in lops {
-                let kind = self.dag.op(lop).kind.clone();
-                let inputs = self.dag.op_inputs(lop);
-                match kind {
-                    OpKind::Scan(t) => self.ops_for_scan(g, lop, t),
-                    OpKind::Select(p) => self.ops_for_select(g, lop, &p, inputs[0], g_blocks),
-                    OpKind::Join(p) => {
-                        self.ops_for_join(g, lop, &p, inputs[0], inputs[1], g_blocks)
-                    }
+            for lop in dag.group_ops(g) {
+                let inputs = dag.op_inputs(lop);
+                match &dag.op(lop).kind {
+                    OpKind::Scan(t) => self.ops_for_scan(g, lop, *t),
+                    OpKind::Select(p) => self.ops_for_select(g, lop, p, inputs[0], g_blocks),
+                    OpKind::Join(p) => self.ops_for_join(g, lop, p, inputs[0], inputs[1], g_blocks),
                     OpKind::Aggregate { keys, aggs } => {
                         let h = inputs[0];
                         let in_blocks = self.group_blocks(h);
                         let local = self.params.cpu(in_blocks + g_blocks);
-                        let (req, out) = if keys.is_empty() {
-                            (PhysProp::Any, PhysProp::Any)
+                        let out = if keys.is_empty() {
+                            PhysProp::Any
                         } else {
-                            (
-                                PhysProp::Sorted(keys.clone()),
-                                PhysProp::Sorted(keys.clone()),
-                            )
+                            PhysProp::Sorted(keys.clone())
                         };
-                        let input_node = self.node_of(h, &req);
+                        let input_node = self.node_of(h, &out);
                         self.add_op(
                             g,
                             &out,
-                            Algo::SortAggregate { keys, aggs },
+                            Algo::SortAggregate {
+                                keys: keys.clone(),
+                                aggs: aggs.clone(),
+                            },
                             vec![input_node],
                             lop,
                             local,
@@ -531,10 +525,9 @@ impl<'a> Builder<'a> {
                         let h = inputs[0];
                         let in_blocks = self.group_blocks(h);
                         let local = self.params.cpu(in_blocks);
-                        let colset: FxHashSet<ColId> = cols.iter().copied().collect();
                         for v in self.out.by_group[&h].clone() {
                             let vprop = self.out.nodes[v.index()].prop.clone();
-                            let out = if vprop.keys().iter().all(|c| colset.contains(c)) {
+                            let out = if vprop.keys().iter().all(|c| cols.contains(c)) {
                                 vprop.clone()
                             } else {
                                 PhysProp::Any
@@ -846,8 +839,12 @@ pub(crate) fn equi_pairs(dag: &Dag, p: &Predicate, l: GroupId, r: GroupId) -> Ve
     let [conj] = p.disjuncts() else {
         return vec![];
     };
-    let lcols: FxHashSet<ColId> = dag.group(l).cols.iter().copied().collect();
-    let rcols: FxHashSet<ColId> = dag.group(r).cols.iter().copied().collect();
+    // group column sets are sorted
+    let (lcols, rcols) = (&dag.group(l).cols, &dag.group(r).cols);
+    let (in_l, in_r) = (
+        |c: &ColId| lcols.binary_search(c).is_ok(),
+        |c: &ColId| rcols.binary_search(c).is_ok(),
+    );
     let mut pairs: Vec<(ColId, ColId)> = conj
         .atoms()
         .iter()
@@ -857,9 +854,9 @@ pub(crate) fn equi_pairs(dag: &Dag, p: &Predicate, l: GroupId, r: GroupId) -> Ve
                 op: CmpOp::Eq,
                 right,
             } => {
-                if lcols.contains(left) && rcols.contains(right) {
+                if in_l(left) && in_r(right) {
                     Some((*left, *right))
-                } else if lcols.contains(right) && rcols.contains(left) {
+                } else if in_l(right) && in_r(left) {
                     Some((*right, *left))
                 } else {
                     None
