@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mqo_analyze::{analyze_source, find_workspace_root, Analysis, LintKind, ALL_LINTS};
+use mqo_analyze::{analyze_source, find_workspace_root, Analysis, LintKind};
 
 struct Args {
     json: bool,
@@ -39,10 +39,10 @@ fn parse_args() -> Result<Args, String> {
             "--deny" => {
                 let spec = it.next().ok_or("--deny needs an argument")?;
                 if spec == "all" {
-                    args.deny = ALL_LINTS.to_vec();
+                    args.deny = LintKind::ALL.to_vec();
                 } else {
                     for name in spec.split(',') {
-                        let kind = LintKind::by_name(name.trim())
+                        let kind = LintKind::from_name(name.trim())
                             .ok_or_else(|| format!("unknown lint `{name}`"))?;
                         args.deny.push(kind);
                     }
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        for k in ALL_LINTS {
+        for k in LintKind::ALL {
             println!("{:<22} {}", k.name(), k.description());
         }
         return ExitCode::SUCCESS;

@@ -4,7 +4,7 @@
 //! parsed suppression comments.
 
 use crate::lex::{lex, Comment, Lexed, Tok, TokKind};
-use crate::{LintKind, ALL_LINTS};
+use crate::LintKind;
 
 /// Which part of a crate a file belongs to. Several lints only apply to
 /// library code: tests, benches, and examples may unwrap, read the
@@ -361,12 +361,19 @@ fn collect_test_ranges(src: &str, toks: &[Tok], matching: &[u32]) -> Vec<(u32, u
 /// colon, and a free-text reason — all mandatory. An allow that names
 /// an unknown lint or omits the reason is reported, not honored.
 /// Mentions of `mqo-analyze` *without* the directive colon (prose,
-/// usage strings) are not directives and are ignored.
+/// usage strings) are not directives and are ignored, and so are doc
+/// comments: a directive quoted in documentation is an example.
 fn parse_suppressions(src: &str, lexed: &Lexed) -> (Vec<Suppression>, Vec<(Comment, String)>) {
     let mut ok = Vec::new();
     let mut bad = Vec::new();
     for c in &lexed.comments {
         let text = c.text(src);
+        if ["///", "//!", "/**", "/*!"]
+            .iter()
+            .any(|doc| text.starts_with(doc))
+        {
+            continue;
+        }
         let Some(pos) = text.find("mqo-analyze") else {
             continue;
         };
@@ -409,10 +416,8 @@ fn parse_allow(text: &str) -> Result<(Vec<LintKind>, String), String> {
     let mut lints = Vec::new();
     for name in rest[..close].split(',') {
         let name = name.trim();
-        let kind = ALL_LINTS
-            .iter()
-            .copied()
-            .find(|k| k.name() == name && k.suppressible())
+        let kind = LintKind::from_name(name)
+            .filter(|k| k.suppressible())
             .ok_or_else(|| format!("unknown lint `{name}` in allow list"))?;
         lints.push(kind);
     }

@@ -10,12 +10,13 @@
 //! | [`LintKind::FloatOrdering`] | PR 3: NaN-corrupted `BinaryHeap` order from `partial_cmp(..).unwrap_or(Equal)` |
 //! | [`LintKind::HashIteration`] | PR 3: hash-order-dependent `MatSet` cost sums differing by 1 ULP |
 //! | [`LintKind::EnvRead`] | PR 5: per-call `env::var` re-parses on the submit hot path |
-//! | [`LintKind::PanicPath`] | PR 7: unaudited panic paths in `group_fingerprints` |
+//! | [`LintKind::PanicPath`] | unaudited panic paths in DAG fingerprinting |
 //! | [`LintKind::MutSelfEntry`] | ROADMAP: shared-`MvStore` serving needs pure `&self` planning |
 //! | [`LintKind::InteriorMut`] | ROADMAP: planner state must become `Sync` |
 //!
 //! The implementation is a token-stream walker in the style of
-//! `mqo-sql`'s lexer — dependency-free, no `syn`, no type information.
+//! `mqo-sql`'s lexer — no `syn`, no type information, and no
+//! dependency but `mqo-util` (for the shared caret renderer).
 //! That makes every lint a *heuristic*: sound enough to catch the
 //! real patterns above, with an escape hatch for the cases it cannot
 //! judge. The escape hatch is an inline comment with a mandatory
@@ -38,63 +39,41 @@ use std::path::{Path, PathBuf};
 
 use ctx::FileCtx;
 
-/// The lint catalog. Stable names (used by allow comments and `--deny`)
-/// come from [`LintKind::name`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LintKind {
-    /// `partial_cmp(..)` forced with `unwrap`/`expect`/`unwrap_or` —
-    /// the NaN-corrupts-the-ordering pattern. Use `f64::total_cmp`.
-    FloatOrdering,
-    /// Direct iteration over a `HashMap`/`HashSet` in a plan- or
-    /// cost-producing crate; hash order is nondeterministic across
-    /// processes and platforms. Route through
-    /// `mqo_util::{sorted_keys, sorted_entries, sorted_items}`.
-    HashIteration,
-    /// `std::env::var` outside a designated `from_env`/`read_env`
-    /// constructor — the `OnceLock` discipline from PR 5.
-    EnvRead,
-    /// `unwrap`/`expect`/`panic!`-family/indexing on an execution or
-    /// planning hot path without a documented `# Panics` contract.
-    PanicPath,
-    /// `&mut self` on a planning entry point (`search*`,
-    /// `removal_gains*`, `probe*`) — the shared-session refactor needs
-    /// planning to be re-entrant over `&self`.
-    MutSelfEntry,
-    /// `RefCell`/`std::cell::Cell`/`UnsafeCell`/`static mut` in library
-    /// code — state the shared-`MvStore` refactor needs `Sync`.
-    InteriorMut,
-    /// An `mqo-analyze` allow comment that is missing its reason or
-    /// names an unknown lint. Not suppressible.
-    MalformedSuppression,
+mqo_util::named_enum! {
+    /// The lint catalog, in catalog order ([`LintKind::ALL`]). Stable
+    /// names (used by allow comments and `--deny`) come from
+    /// [`LintKind::name`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum LintKind {
+        /// `partial_cmp(..)` forced with `unwrap`/`expect`/`unwrap_or` —
+        /// the NaN-corrupts-the-ordering pattern. Use `f64::total_cmp`.
+        FloatOrdering => "float-ordering",
+        /// Direct iteration over a `HashMap`/`HashSet` in a plan- or
+        /// cost-producing crate; hash order is nondeterministic across
+        /// processes and platforms. Route through
+        /// `mqo_util::{sorted_keys, sorted_entries, sorted_items}`.
+        HashIteration => "hash-iteration",
+        /// `std::env::var` outside a designated `from_env`/`read_env`
+        /// constructor — the `OnceLock` discipline from PR 5.
+        EnvRead => "env-read",
+        /// `unwrap`/`expect`/`panic!`-family/indexing on an execution or
+        /// planning hot path without a documented `# Panics` contract.
+        PanicPath => "panic-path",
+        /// `&mut self` on a planning entry point (`search`, `search_*`,
+        /// `removal_gains*`, `probe`, `probe_*`) in the planning crates
+        /// (`mqo-core`, `mqo-ks15`) — the shared-session refactor needs
+        /// planning to be re-entrant over `&self`.
+        MutSelfEntry => "mut-self-entry",
+        /// `RefCell`/`std::cell::Cell`/`UnsafeCell`/`static mut` in library
+        /// code — state the shared-`MvStore` refactor needs `Sync`.
+        InteriorMut => "interior-mut",
+        /// An `mqo-analyze` allow comment that is missing its reason or
+        /// names an unknown lint. Not suppressible.
+        MalformedSuppression => "malformed-suppression",
+    }
 }
 
-/// Every lint, in catalog order.
-pub const ALL_LINTS: [LintKind; 7] = [
-    LintKind::FloatOrdering,
-    LintKind::HashIteration,
-    LintKind::EnvRead,
-    LintKind::PanicPath,
-    LintKind::MutSelfEntry,
-    LintKind::InteriorMut,
-    LintKind::MalformedSuppression,
-];
-
 impl LintKind {
-    /// Stable kebab-case name used in diagnostics, allow comments, and
-    /// `--deny` lists.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LintKind::FloatOrdering => "float-ordering",
-            LintKind::HashIteration => "hash-iteration",
-            LintKind::EnvRead => "env-read",
-            LintKind::PanicPath => "panic-path",
-            LintKind::MutSelfEntry => "mut-self-entry",
-            LintKind::InteriorMut => "interior-mut",
-            LintKind::MalformedSuppression => "malformed-suppression",
-        }
-    }
-
     /// One-line description for `--list`.
     #[must_use]
     pub fn description(self) -> &'static str {
@@ -121,12 +100,6 @@ impl LintKind {
     #[must_use]
     pub fn suppressible(self) -> bool {
         self != LintKind::MalformedSuppression
-    }
-
-    /// Looks a lint up by its stable name.
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<LintKind> {
-        ALL_LINTS.iter().copied().find(|k| k.name() == name)
     }
 }
 
@@ -169,11 +142,13 @@ impl Finding {
     /// ```
     #[must_use]
     pub fn render(&self) -> String {
-        let pad = " ".repeat(self.col.saturating_sub(1) as usize);
-        let carets = "^".repeat(self.len.max(1) as usize);
-        format!(
-            "error[{}]: {}\n  --> {}:{}:{}\n   | {}\n   | {pad}{carets}",
-            self.kind, self.message, self.path, self.line, self.col, self.line_text
+        mqo_util::render_caret(
+            &format!("error[{}]", self.kind),
+            &self.message,
+            &format!("{}:{}:{}", self.path, self.line, self.col),
+            &self.line_text,
+            self.col.saturating_sub(1) as usize,
+            self.len as usize,
         )
     }
 }
@@ -208,7 +183,7 @@ impl Analysis {
     }
 
     /// Machine-readable report. Hand-rolled JSON (the crate is
-    /// dependency-free); strings are escaped per RFC 8259.
+    /// std only); strings are escaped per RFC 8259.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"version\": 1,\n");
@@ -376,10 +351,10 @@ mod tests {
 
     #[test]
     fn catalog_names_round_trip() {
-        for k in ALL_LINTS {
-            assert_eq!(LintKind::by_name(k.name()), Some(k));
+        for &k in LintKind::ALL {
+            assert_eq!(LintKind::from_name(k.name()), Some(k));
         }
-        assert_eq!(LintKind::by_name("nope"), None);
+        assert_eq!(LintKind::from_name("nope"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | `env-read` | all | lib, outside `#[cfg(test)]` |
 //! | `panic-path` | `exec`, `core`, `session`, `serve` | lib, outside `#[cfg(test)]` |
 //! | `panic-path` (strict) | `try_*` fns and [`RESULT_FNS`] | same — `# Panics` docs do NOT exempt |
-//! | `mut-self-entry` | all | lib |
+//! | `mut-self-entry` | `core`, `ks15` | lib, outside `#[cfg(test)]` |
 //! | `interior-mut` | all (shims included) | lib, outside `#[cfg(test)]` |
 
 use crate::ctx::{FileCtx, Section};
@@ -26,6 +26,10 @@ pub const ORDERED_CRATES: [&str; 9] = [
 /// Crates whose `src/` is the execution/planning hot path — the panic
 /// lint's domain.
 pub const HOT_CRATES: [&str; 4] = ["exec", "core", "session", "serve"];
+
+/// Crates whose `src/` holds the materialization-set search — the
+/// `mut-self-entry` lint's domain.
+pub const PLANNING_CRATES: [&str; 2] = ["core", "ks15"];
 
 /// Functions the robustness PR converted to typed-`Result` pipelines.
 /// Inside these (and any `try_*` function) the panic lint is strict: a
@@ -99,7 +103,9 @@ pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Finding> {
         if HOT_CRATES.contains(&ctx.crate_name.as_str()) {
             panic_path(ctx, &mut out);
         }
-        mut_self_entry(ctx, &mut out);
+        if PLANNING_CRATES.contains(&ctx.crate_name.as_str()) {
+            mut_self_entry(ctx, &mut out);
+        }
         interior_mut(ctx, &mut out);
     }
     malformed_suppressions(ctx, &mut out);
@@ -556,16 +562,22 @@ fn panic_path(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 // mut-self-entry
 // ------------------------------------------------------------------
 
-/// Flags `&mut self` receivers on planning entry points. The
-/// multi-tenant serving front (ROADMAP) plans concurrently over a
-/// shared session; everything `Strategy::search` reaches must stay
-/// re-entrant over `&self`.
+/// Flags `&mut self` receivers on planning entry points (`search`,
+/// `search_*`, `removal_gains*`, `probe`, `probe_*`) in the planning
+/// crates. The multi-tenant serving front (ROADMAP) plans concurrently
+/// over a shared session; everything `Strategy::search` reaches must
+/// stay re-entrant over `&self`. The executor's hash-join `probe` is
+/// not planning, hence the crate scope.
 fn mut_self_entry(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     for f in &ctx.fns {
-        let planning_entry = f.name == "search"
-            || f.name.starts_with("search_")
-            || f.name.starts_with("removal_gains")
-            || f.name.starts_with("probe_");
+        let entry = |prefix: &str| {
+            f.name == prefix
+                || f.name
+                    .strip_prefix(prefix)
+                    .is_some_and(|rest| rest.starts_with('_'))
+        };
+        let planning_entry =
+            entry("search") || f.name.starts_with("removal_gains") || entry("probe");
         if planning_entry && f.mut_self {
             let t = ctx.toks()[f.name_tok as usize];
             if !ctx.in_test_code(f.name_tok as usize) {

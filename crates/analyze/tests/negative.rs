@@ -228,6 +228,21 @@ fn mut_self_entry_fires_on_mut_search() {
 }
 
 #[test]
+fn mut_self_entry_fires_on_mut_probe_in_planning_crate() {
+    let src = "pub struct S;\nimpl S {\n    pub fn probe(&mut self, x: u32) -> u32 {\n        x\n    }\n}\n";
+    let f = one("crates/core/src/fake.rs", src, LintKind::MutSelfEntry);
+    assert_eq!(f.line, 3, "{f:#?}");
+    assert_eq!(f.len, "probe".len() as u32);
+}
+
+#[test]
+fn mut_self_entry_ignores_executor_probe() {
+    // the executor's hash-join probe is not a planning entry point
+    let src = "pub struct S;\nimpl S {\n    pub fn probe(&mut self, x: u32) -> u32 {\n        x\n    }\n}\n";
+    clean("crates/exec/src/fake.rs", src);
+}
+
+#[test]
 fn mut_self_entry_allows_shared_receiver() {
     let src =
         "pub struct S;\nimpl S {\n    pub fn search(&self, x: u32) -> u32 {\n        x\n    }\n}\n";
@@ -270,6 +285,14 @@ fn allow_comment_suppresses_with_reason() {
         found[0].suppressed.as_deref(),
         Some("inputs are clamped finite upstream")
     );
+}
+
+#[test]
+fn directive_quoted_in_a_doc_comment_is_prose() {
+    let src = "/// // mqo-analyze: allow(float-ordering): an example in the docs\n\
+               pub fn f(a: f64, b: f64) -> bool { a.partial_cmp(&b).unwrap().is_lt() }\n";
+    let f = one("crates/exec/src/fake.rs", src, LintKind::FloatOrdering);
+    assert!(f.suppressed.is_none());
 }
 
 #[test]

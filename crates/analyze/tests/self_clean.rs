@@ -6,7 +6,8 @@
 
 use std::path::Path;
 
-use mqo_analyze::{analyze_workspace, find_workspace_root};
+use mqo_analyze::ctx::FileCtx;
+use mqo_analyze::{analyze_source, analyze_workspace, find_workspace_root, workspace_files};
 
 fn workspace_root() -> std::path::PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -41,6 +42,39 @@ fn every_suppression_carries_a_reason() {
             f.line
         );
     }
+}
+
+/// An allow directive that silences nothing is a stale exemption: it
+/// either outlived the code it excused or never matched the lint's
+/// scope, and it would hide the next real finding on its lines.
+#[test]
+fn every_allow_directive_suppresses_a_finding() {
+    let root = workspace_root();
+    let mut dead = Vec::new();
+    for file in workspace_files(&root) {
+        let rel = file
+            .strip_prefix(&root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let src = std::fs::read_to_string(&file).expect("workspace file readable");
+        let findings = analyze_source(&rel, &src);
+        for s in FileCtx::build(&rel, &src).suppressions {
+            let live = findings.iter().any(|f| {
+                f.suppressed.is_some()
+                    && s.lints.contains(&f.kind)
+                    && (f.line == s.line || f.line == s.line + 1)
+            });
+            if !live {
+                dead.push(format!("{rel}:{} allow({:?})", s.line, s.lints));
+            }
+        }
+    }
+    assert!(
+        dead.is_empty(),
+        "allow directives that suppress nothing:\n{}",
+        dead.join("\n")
+    );
 }
 
 #[test]

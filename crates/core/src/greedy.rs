@@ -273,7 +273,6 @@ impl Strategy for Greedy {
                 .iter()
                 .filter(|&&(n, _)| fits(space_used, n))
                 .map(|&(n, d)| HeapEntry {
-                    // mqo-analyze: allow(panic-path): candidates are nodes of `ctx.pdag`, whose node count sizes the table
                     bound: score(state.table.node_cost[n.index()].secs() * d, n),
                     node: n,
                 })

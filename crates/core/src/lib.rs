@@ -46,7 +46,7 @@ pub use greedy::{Greedy, GreedyOptions};
 pub use mqo_verify::VerifyLevel;
 pub use optimizer::{Expanded, Optimizer};
 pub use state::CostState;
-pub use strategy::{Registry, Strategy, StrategyError};
+pub use strategy::{Registry, Strategy};
 pub use volcano::Volcano;
 pub use volcano_ru::VolcanoRu;
 pub use volcano_sh::VolcanoSh;

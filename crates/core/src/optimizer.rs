@@ -25,12 +25,12 @@
 //! [`OptStats::dag_time_secs`]: crate::OptStats::dag_time_secs
 //! [`OptStats::search_time_secs`]: crate::OptStats::search_time_secs
 
-use crate::{OptContext, Optimized, Options, Registry, Strategy, StrategyError};
+use crate::{OptContext, Optimized, Options, Registry, Strategy};
 use mqo_catalog::Catalog;
 use mqo_dag::Dag;
 use mqo_logical::Batch;
 use mqo_physical::{CostTable, ExtractedPlan, MatSet, PhysicalDag};
-use mqo_util::MqoError;
+use mqo_util::{ErrorStage, MqoError, MqoErrorKind};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,7 +127,11 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Registers an additional strategy (the extension point).
-    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), StrategyError> {
+    ///
+    /// # Errors
+    ///
+    /// Fails with kind `DuplicateStrategy` if the name is already taken.
+    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), MqoError> {
         self.registry.register(strategy)
     }
 
@@ -197,7 +201,13 @@ impl<'a> Optimizer<'a> {
     pub fn search(&self, ctx: &OptContext<'_>, strategy: &str) -> Result<Optimized, MqoError> {
         match self.registry.get(strategy) {
             Some(s) => self.search_with(ctx, s.as_ref()),
-            None => Err(StrategyError::Unknown(strategy.to_string()).into()),
+            None => Err(MqoError::new(
+                MqoErrorKind::UnknownStrategy,
+                ErrorStage::Search,
+                strategy,
+                "",
+                format!("unknown strategy {strategy:?}"),
+            )),
         }
     }
 

@@ -49,38 +49,6 @@ pub trait Strategy: Send + Sync {
     fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError>;
 }
 
-/// Errors from strategy lookup and registration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StrategyError {
-    /// No strategy with this name is registered.
-    Unknown(String),
-    /// A strategy with this name is already registered.
-    Duplicate(String),
-}
-
-impl fmt::Display for StrategyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StrategyError::Unknown(name) => write!(f, "unknown strategy {name:?}"),
-            StrategyError::Duplicate(name) => {
-                write!(f, "a strategy named {name:?} is already registered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StrategyError {}
-
-impl From<StrategyError> for MqoError {
-    fn from(e: StrategyError) -> MqoError {
-        let (kind, name) = match &e {
-            StrategyError::Unknown(name) => (MqoErrorKind::UnknownStrategy, name),
-            StrategyError::Duplicate(name) => (MqoErrorKind::DuplicateStrategy, name),
-        };
-        MqoError::new(kind, ErrorStage::Search, name.clone(), "", e.to_string())
-    }
-}
-
 /// An ordered collection of named strategies.
 ///
 /// Registration order is preserved (and is the iteration order), so
@@ -124,10 +92,20 @@ impl Registry {
     }
 
     /// Registers a strategy under its own [`Strategy::name`].
-    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), StrategyError> {
+    ///
+    /// # Errors
+    ///
+    /// Fails with kind `DuplicateStrategy` if the name is already taken.
+    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), MqoError> {
         let name = strategy.name();
         if self.get(name).is_some() {
-            return Err(StrategyError::Duplicate(name.to_string()));
+            return Err(MqoError::new(
+                MqoErrorKind::DuplicateStrategy,
+                ErrorStage::Search,
+                name,
+                "",
+                format!("a strategy named {name:?} is already registered"),
+            ));
         }
         self.entries.push(strategy);
         Ok(())
@@ -193,7 +171,12 @@ mod tests {
         let mut r = Registry::builtin();
         let before = r.len();
         let err = r.register(Arc::new(crate::Volcano)).unwrap_err();
-        assert_eq!(err, StrategyError::Duplicate("Volcano".to_string()));
+        assert_eq!(err.kind, MqoErrorKind::DuplicateStrategy);
+        assert_eq!(err.site, "Volcano");
+        assert_eq!(
+            err.message,
+            "a strategy named \"Volcano\" is already registered"
+        );
         assert_eq!(r.len(), before);
     }
 

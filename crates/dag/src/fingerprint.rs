@@ -35,7 +35,7 @@
 //! kind, predicate structure, table/column ids) feeds it.
 
 use crate::memo::{Dag, GroupId, OpKind};
-use mqo_util::{FxHashMap, FxHasher};
+use mqo_util::{ErrorStage, FxHashMap, FxHasher, MqoError, MqoErrorKind};
 use std::hash::{Hash, Hasher};
 
 /// A stable content hash naming a logical result across batches.
@@ -55,50 +55,14 @@ pub fn mix(mut h: u64, v: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Why fingerprinting a DAG failed. Both cases mean the DAG violates a
-/// structural invariant (children before parents in `topo_order`, every
-/// reachable group implemented) — they can only arise from memo
-/// corruption, which `mqo-verify` wants reported as a diagnostic rather
-/// than a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FingerprintError {
-    /// An op's input group had no fingerprint yet — `topo_order` does
-    /// not list children before parents (stale or cyclic).
-    UnfingerprintedChild {
-        /// The input group whose fingerprint was missing.
-        group: GroupId,
-    },
-    /// A group in `topo_order` has no alive operation to hash.
-    EmptyGroup {
-        /// The unimplemented group.
-        group: GroupId,
-    },
-}
-
-impl std::fmt::Display for FingerprintError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FingerprintError::UnfingerprintedChild { group } => write!(
-                f,
-                "input group g{group} was not fingerprinted before its consumer \
-                 (topo order does not list children first)"
-            ),
-            FingerprintError::EmptyGroup { group } => {
-                write!(f, "group g{group} has no alive operation to fingerprint")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FingerprintError {}
-
 /// Hashes one operation: operator kind (predicates, keys, table ids)
-/// plus child fingerprints, join children order-insensitive.
+/// plus child fingerprints, join children order-insensitive. `Err`
+/// names an input group that has no fingerprint yet.
 fn op_fingerprint(
     dag: &Dag,
     op: crate::memo::OpId,
     fps: &FxHashMap<GroupId, Fingerprint>,
-) -> Result<u64, FingerprintError> {
+) -> Result<u64, GroupId> {
     let kind = &dag.op(op).kind;
     let mut hasher = FxHasher::default();
     kind.hash(&mut hasher);
@@ -107,7 +71,7 @@ fn op_fingerprint(
     for g in dag.op_inputs(op) {
         match fps.get(&g) {
             Some(&fp) => children.push(fp),
-            None => return Err(FingerprintError::UnfingerprintedChild { group: g }),
+            None => return Err(g),
         }
     }
     if matches!(kind, OpKind::Join(_)) {
@@ -123,31 +87,28 @@ fn op_fingerprint(
 /// parents. Deterministic for a given DAG content — independent of
 /// thread counts, hash-map iteration, and id numbering.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the DAG is structurally broken (stale topological order or
-/// an unimplemented group). Use [`try_group_fingerprints`] to get the
-/// violation as a value instead — that is what `mqo-verify` does, so a
-/// corrupted memo is diagnosed rather than aborted on.
-#[must_use]
-pub fn group_fingerprints(dag: &Dag) -> FxHashMap<GroupId, Fingerprint> {
-    match try_group_fingerprints(dag) {
-        Ok(fps) => fps,
-        Err(e) => panic!("fingerprinting a broken DAG: {e}"),
-    }
-}
-
-/// Fallible twin of [`group_fingerprints`]: reports memo corruption as a
-/// [`FingerprintError`] instead of panicking.
-pub fn try_group_fingerprints(
-    dag: &Dag,
-) -> Result<FxHashMap<GroupId, Fingerprint>, FingerprintError> {
+/// Fails with kind `FingerprintUnstable` at the group where the DAG is
+/// structurally broken: `topo_order` lists a consumer before one of its
+/// input groups (stale or cyclic), or lists a group with no alive
+/// operation. Both arise only from memo corruption, which `mqo-verify`
+/// reports as a diagnostic rather than a panic.
+pub fn try_group_fingerprints(dag: &Dag) -> Result<FxHashMap<GroupId, Fingerprint>, MqoError> {
     let mut fps: FxHashMap<GroupId, Fingerprint> = FxHashMap::default();
     for &g in dag.topo_order() {
         let mut canonical: Option<u64> = None;
         let mut any: Option<u64> = None;
         for o in dag.group_ops(g) {
-            let h = op_fingerprint(dag, o, &fps)?;
+            let h = op_fingerprint(dag, o, &fps).map_err(|child| {
+                unstable(
+                    child,
+                    format!(
+                        "input group g{child} was not fingerprinted before its consumer \
+                         (topo order does not list children first)"
+                    ),
+                )
+            })?;
             if !dag.op(o).from_subsumption {
                 canonical = Some(canonical.map_or(h, |c: u64| c.min(h)));
             }
@@ -157,7 +118,12 @@ pub fn try_group_fingerprints(
         // (batch-local) name; include the derived ops for those.
         let canonical = match canonical.or(any) {
             Some(c) => c,
-            None => return Err(FingerprintError::EmptyGroup { group: g }),
+            None => {
+                return Err(unstable(
+                    g,
+                    format!("group g{g} has no alive operation to fingerprint"),
+                ))
+            }
         };
         let grp = dag.group(g);
         let mut fp = mix(canonical, grp.cols.len() as u64);
@@ -167,6 +133,16 @@ pub fn try_group_fingerprints(
         fps.insert(g, fp);
     }
     Ok(fps)
+}
+
+fn unstable(group: GroupId, message: String) -> MqoError {
+    MqoError::new(
+        MqoErrorKind::FingerprintUnstable,
+        ErrorStage::Plan,
+        format!("g{group}"),
+        "",
+        message,
+    )
 }
 
 #[cfg(test)]
@@ -198,7 +174,7 @@ mod tests {
 
     fn fp_of_query_root(cat: &Catalog, batch: &Batch, q: usize) -> Fingerprint {
         let dag = Dag::expand(batch, cat, DagConfig::default());
-        let fps = group_fingerprints(&dag);
+        let fps = try_group_fingerprints(&dag).expect("expanded DAG fingerprints");
         let root_inputs = dag.op_inputs(dag.root_op());
         fps[&root_inputs[q]]
     }
@@ -271,7 +247,8 @@ mod tests {
         ]);
         let d1 = Dag::expand(&batch, &cat, DagConfig::default());
         let d2 = Dag::expand(&batch, &cat, DagConfig::default());
-        let (f1, f2) = (group_fingerprints(&d1), group_fingerprints(&d2));
+        let fp = |d: &Dag| try_group_fingerprints(d).expect("expanded DAG fingerprints");
+        let (f1, f2) = (fp(&d1), fp(&d2));
         let mut v1: Vec<Fingerprint> = f1.values().copied().collect();
         let mut v2: Vec<Fingerprint> = f2.values().copied().collect();
         v1.sort_unstable();

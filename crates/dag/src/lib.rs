@@ -23,10 +23,7 @@ mod rules;
 mod sharability;
 mod subsumption;
 
-pub use fingerprint::{
-    group_fingerprints, mix as mix_fingerprint, try_group_fingerprints, Fingerprint,
-    FingerprintError,
-};
+pub use fingerprint::{mix as mix_fingerprint, try_group_fingerprints, Fingerprint};
 pub use memo::{Dag, Group, GroupId, OpId, OpKind, Operation};
 pub use sharability::{degree_of_sharing, sharable_groups};
 

@@ -13,7 +13,7 @@
 //!   query's root fingerprint.
 
 use mqo_catalog::Catalog;
-use mqo_dag::{group_fingerprints, Dag, DagConfig, Fingerprint};
+use mqo_dag::{try_group_fingerprints, Dag, DagConfig, Fingerprint};
 use mqo_expr::{Atom, CmpOp, Predicate};
 use mqo_logical::{Batch, LogicalPlan, Query};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn chain_plan(cat: &Catalog, lo: usize, hi: usize, swaps: &[bool]) -> LogicalPla
 /// Root fingerprint of each query in `batch`, in batch order.
 fn root_fps(cat: &Catalog, batch: &Batch) -> Vec<Fingerprint> {
     let dag = Dag::expand(batch, cat, DagConfig::default());
-    let fps = group_fingerprints(&dag);
+    let fps = try_group_fingerprints(&dag).expect("expanded DAG fingerprints");
     dag.op_inputs(dag.root_op())
         .iter()
         .map(|g| fps[g])

@@ -3,7 +3,7 @@
 //! Temps that [`crate::try_execute_plan_seeded`] builds die with their
 //! plan unless the [`MvStore`] keeps them. Entries are refcounted columnar
 //! [`Table`]s keyed by the **cross-batch fingerprint** of the physical
-//! node that produced them ([`mqo_dag::group_fingerprints`] +
+//! node that produced them ([`mqo_dag::try_group_fingerprints`] +
 //! `mqo_physical::node_fingerprints`), so an equivalent subexpression in
 //! a *later* batch — with entirely different group and node ids — maps
 //! to the same entry and is served warm.

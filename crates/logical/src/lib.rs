@@ -12,4 +12,4 @@ mod plan;
 mod validate;
 
 pub use plan::{Batch, LogicalPlan, Query};
-pub use validate::{validate, ValidationError};
+pub use validate::validate;

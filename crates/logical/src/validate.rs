@@ -2,67 +2,45 @@
 
 use crate::LogicalPlan;
 use mqo_catalog::{Catalog, ColId};
-use mqo_util::FxHashSet;
-
-/// Why a plan failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationError {
-    /// A predicate/aggregate/projection references a column its input does
-    /// not produce.
-    UnboundColumn {
-        /// The offending column.
-        col: ColId,
-        /// Operator description.
-        at: &'static str,
-    },
-    /// A join's inputs produce overlapping output schemas (e.g. an
-    /// unprojected self-reference). Intra-query reuse of a subexpression
-    /// is legal — the paper's Q2-D depends on it — but the two sides must
-    /// be projected to disjoint columns so that output rows stay
-    /// unambiguous.
-    OverlappingJoin {
-        /// A column produced by both join inputs.
-        col: ColId,
-    },
-}
-
-impl std::fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValidationError::UnboundColumn { col, at } => {
-                write!(f, "column c{col} not produced by input of {at}")
-            }
-            ValidationError::OverlappingJoin { col } => {
-                write!(f, "join inputs both produce column c{col}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {}
+use mqo_util::{ErrorStage, FxHashSet, MqoError, MqoErrorKind};
 
 /// Validates column bindings and join-schema disjointness in `plan`.
 ///
 /// Parameter atoms are exempt from binding checks: they are resolved by an
 /// enclosing query at run time.
-pub fn validate(plan: &LogicalPlan, catalog: &Catalog) -> Result<(), ValidationError> {
+///
+/// # Errors
+///
+/// Fails with kind `PlanBroken` at stage `plan`, sited at the offending
+/// column, when a predicate, aggregate or projection references a
+/// column its input does not produce, or when a join's inputs produce
+/// overlapping output schemas (e.g. an unprojected self-reference).
+/// Intra-query reuse of a subexpression is legal — the paper's Q2-D
+/// depends on it — but the two sides must be projected to disjoint
+/// columns so that output rows stay unambiguous.
+pub fn validate(plan: &LogicalPlan, catalog: &Catalog) -> Result<(), MqoError> {
     validate_cols(plan, catalog).map(|_| ())
 }
 
-fn validate_cols(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-) -> Result<FxHashSet<ColId>, ValidationError> {
-    let check = |cols: &[ColId],
-                 avail: &FxHashSet<ColId>,
-                 at: &'static str|
-     -> Result<(), ValidationError> {
-        for &c in cols {
-            if !avail.contains(&c) {
-                return Err(ValidationError::UnboundColumn { col: c, at });
-            }
+fn broken(col: ColId, message: String) -> MqoError {
+    MqoError::new(
+        MqoErrorKind::PlanBroken,
+        ErrorStage::Plan,
+        format!("c{col}"),
+        "",
+        message,
+    )
+}
+
+fn validate_cols(plan: &LogicalPlan, catalog: &Catalog) -> Result<FxHashSet<ColId>, MqoError> {
+    let check = |cols: &[ColId], avail: &FxHashSet<ColId>, at: &str| -> Result<(), MqoError> {
+        match cols.iter().find(|c| !avail.contains(c)) {
+            Some(&c) => Err(broken(
+                c,
+                format!("column c{c} not produced by input of {at}"),
+            )),
+            None => Ok(()),
         }
-        Ok(())
     };
     match plan {
         LogicalPlan::Scan(t) => Ok(catalog.table_ref(*t).columns.iter().copied().collect()),
@@ -75,7 +53,10 @@ fn validate_cols(
             let l = validate_cols(left, catalog)?;
             let r = validate_cols(right, catalog)?;
             if let Some(&col) = l.intersection(&r).next() {
-                return Err(ValidationError::OverlappingJoin { col });
+                return Err(broken(
+                    col,
+                    format!("join inputs both produce column c{col}"),
+                ));
             }
             let mut avail = l;
             avail.extend(r);
@@ -136,10 +117,11 @@ mod tests {
             CmpOp::Lt,
             5i64,
         )));
-        assert!(matches!(
-            validate(&plan, &cat),
-            Err(ValidationError::UnboundColumn { .. })
-        ));
+        let err = validate(&plan, &cat).unwrap_err();
+        assert_eq!(err.kind, MqoErrorKind::PlanBroken);
+        assert_eq!(err.stage, ErrorStage::Plan);
+        assert_eq!(err.site, format!("c{}", cat.col("s", "sk")));
+        assert!(err.message.contains("not produced by input of Select"));
     }
 
     #[test]
@@ -147,11 +129,11 @@ mod tests {
         let cat = setup();
         let r = cat.table_by_name("r").unwrap().id;
         let plan = LogicalPlan::scan(r).join(LogicalPlan::scan(r), Predicate::true_());
+        let err = validate(&plan, &cat).unwrap_err();
+        assert_eq!(err.kind, MqoErrorKind::PlanBroken);
         assert_eq!(
-            validate(&plan, &cat),
-            Err(ValidationError::OverlappingJoin {
-                col: cat.col("r", "rk")
-            })
+            err.message,
+            format!("join inputs both produce column c{}", cat.col("r", "rk"))
         );
     }
 

@@ -3,7 +3,7 @@
 //!
 //! A physical node is `(logical group, required property)`; its
 //! fingerprint extends the group's canonical content hash
-//! ([`mqo_dag::group_fingerprints`]) with the delivered sort order, so a
+//! ([`mqo_dag::try_group_fingerprints`]) with the delivered sort order, so a
 //! temp materialized `sorted[c3]` and the unordered temp of the same
 //! group are distinct cache entries — exactly as they are distinct
 //! materialization candidates in the search.
@@ -15,7 +15,7 @@ use mqo_util::FxHashMap;
 
 /// Fingerprint of every physical node, indexed by
 /// [`PhysNodeId`](crate::PhysNodeId). `group_fps` comes from
-/// [`mqo_dag::group_fingerprints`] over the same batch's logical DAG.
+/// [`mqo_dag::try_group_fingerprints`] over the same batch's logical DAG.
 #[must_use]
 pub fn node_fingerprints(
     pdag: &PhysicalDag,

@@ -325,45 +325,20 @@ pub fn encode_error(e: &MqoError) -> Vec<u8> {
     out
 }
 
-fn kind_from_name(name: &str) -> MqoErrorKind {
-    match name {
-        "unknown-strategy" => MqoErrorKind::UnknownStrategy,
-        "duplicate-strategy" => MqoErrorKind::DuplicateStrategy,
-        "time-budget-expired" => MqoErrorKind::TimeBudgetExpired,
-        "mem-budget-exceeded" => MqoErrorKind::MemBudgetExceeded,
-        "plan-broken" => MqoErrorKind::PlanBroken,
-        "missing-seed" => MqoErrorKind::MissingSeed,
-        "fault-injected" => MqoErrorKind::FaultInjected,
-        "invariant-violated" => MqoErrorKind::InvariantViolated,
-        "fingerprint-unstable" => MqoErrorKind::FingerprintUnstable,
-        "shutdown" => MqoErrorKind::Shutdown,
-        "sql" => MqoErrorKind::Sql,
-        "overloaded" => MqoErrorKind::Overloaded,
-        _ => MqoErrorKind::Protocol,
-    }
-}
-
-fn stage_from_name(name: &str) -> ErrorStage {
-    match name {
-        "plan" => ErrorStage::Plan,
-        "search" => ErrorStage::Search,
-        "extract" => ErrorStage::Extract,
-        "execute" => ErrorStage::Execute,
-        "admission" => ErrorStage::Admission,
-        "session" => ErrorStage::Session,
-        _ => ErrorStage::Serve,
-    }
-}
-
 /// Decodes an ERROR body back into a typed [`MqoError`].
 ///
 /// # Errors
 ///
-/// Fails with a protocol error if the body itself is malformed.
+/// Fails with a protocol error if the body itself is malformed,
+/// including a kind or stage name the tables do not know.
 pub fn decode_error(body: &[u8], site: &str) -> Result<MqoError, MqoError> {
     let mut w = Wire::new(body, site);
-    let kind = kind_from_name(&w.str()?);
-    let stage = stage_from_name(&w.str()?);
+    let kind = w.str()?;
+    let kind = MqoErrorKind::from_name(&kind)
+        .ok_or_else(|| proto(site, format!("unknown error kind `{kind}`")))?;
+    let stage = w.str()?;
+    let stage = ErrorStage::from_name(&stage)
+        .ok_or_else(|| proto(site, format!("unknown error stage `{stage}`")))?;
     let err_site = w.str()?;
     let detail = w.str()?;
     let message = w.str()?;
@@ -505,13 +480,34 @@ mod tests {
     }
 
     #[test]
-    fn error_round_trip_keeps_kind_and_stage() {
-        let e = MqoError::fault(ErrorStage::Execute, "temp-build", 3);
-        let back = decode_error(&encode_error(&e), "t").unwrap();
-        assert_eq!(back.kind, MqoErrorKind::FaultInjected);
-        assert_eq!(back.stage, ErrorStage::Execute);
-        assert_eq!(back.site, "temp-build");
-        assert_eq!(back.message, e.message);
+    fn error_round_trip_keeps_every_kind_and_stage() {
+        for &kind in MqoErrorKind::ALL {
+            for &stage in ErrorStage::ALL {
+                let e = MqoError::new(kind, stage, "n3", "détail", "what went wrong");
+                let back = decode_error(&encode_error(&e), "t").unwrap();
+                assert_eq!(back.kind, kind);
+                assert_eq!(back.stage, stage);
+                assert_eq!(back.site, e.site);
+                assert_eq!(back.detail, e.detail);
+                assert_eq!(back.message, e.message);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_error_names_are_protocol_errors() {
+        let body = |kind: &str, stage: &str| {
+            let mut out = Vec::new();
+            for field in [kind, stage, "s", "d", "m"] {
+                put_str(&mut out, field);
+            }
+            out
+        };
+        for (kind, stage) in [("no-such-kind", "plan"), ("plan-broken", "no-such-stage")] {
+            let e = decode_error(&body(kind, stage), "t").unwrap_err();
+            assert_eq!(e.kind, MqoErrorKind::Protocol);
+            assert_eq!(e.site, "t");
+        }
     }
 
     #[test]

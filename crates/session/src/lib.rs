@@ -17,7 +17,7 @@
 //! Each [`MqoSession::submit`] is the whole pipeline in one call, and
 //! four mechanisms make consecutive batches cheaper than the first:
 //!
-//! 1. **Fingerprints** ([`mqo_dag::group_fingerprints`] +
+//! 1. **Fingerprints** ([`mqo_dag::try_group_fingerprints`] +
 //!    [`mqo_physical::node_fingerprints`]) give every physical node a
 //!    batch-independent name, so an equivalent subexpression in a later
 //!    batch — different [`GroupId`](mqo_dag::GroupId)s, different node
@@ -52,19 +52,18 @@ mod plan_cache;
 use mqo_catalog::Catalog;
 use mqo_chaos::Seam;
 use mqo_core::{
-    OptContext, OptStats, Optimized, Optimizer, Options, Registry, Strategy, StrategyError,
-    VerifyLevel,
+    OptContext, OptStats, Optimized, Optimizer, Options, Registry, Strategy, VerifyLevel,
 };
 use mqo_cost::Cost;
 use mqo_dag::Fingerprint;
 use mqo_exec::{
-    try_execute_plan_seeded, Admission, Database, ExecOptions, ExecOutcome, MvStats, MvStore,
-    SeededOutcome, Table,
+    try_execute_plan_seeded, Admission, Database, ExecMode, ExecOptions, ExecOutcome, MvStats,
+    MvStore, SeededOutcome, Table,
 };
 use mqo_expr::{ParamId, Value};
 use mqo_logical::Batch;
 use mqo_physical::{CostTable, ExtractedPlan, PhysNodeId, PhysicalDag};
-use mqo_util::{BitSet, ErrorStage, FxHashMap, MqoError, MqoErrorKind};
+use mqo_util::{BitSet, ErrorStage, FxHashMap, MqoError};
 use plan_cache::{CachedPlan, PlanCache, Sighting};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -77,15 +76,17 @@ pub const DEFAULT_MV_BUDGET_BYTES: usize = 256 << 20;
 #[must_use = "SessionOptions is a builder: chain `with_*` calls and pass it to MqoSession::new"]
 pub struct SessionOptions {
     /// Optimizer options (DAG config, cost params, greedy switches,
-    /// verification) applied to every submit.
+    /// verification) applied to every submit. Its `deadline` is
+    /// replaced on each submit by one derived from `time_budget`.
     pub opt: Options,
     /// Registry name of the strategy each submit searches with.
     /// Defaults to `"Greedy"`; `"KS15-Greedy"` is pre-registered too.
     pub strategy: String,
-    /// Execution-engine knobs. `Some` takes precedence; `None` falls
-    /// back to the process-wide environment
-    /// ([`ExecOptions::from_env`], parsed once per process).
-    pub exec: Option<ExecOptions>,
+    /// Execution engine. `Some` takes precedence; `None` falls back to
+    /// the process-wide `MQO_EXEC_MODE` ([`ExecOptions::from_env`],
+    /// parsed once per process). The executor's deadline and memory
+    /// budget come from `time_budget` and `mem_budget`.
+    pub exec_mode: Option<ExecMode>,
     /// Byte budget of the [`MvStore`]; `0` disables cross-batch caching
     /// (every submit runs cold).
     pub mv_budget_bytes: usize,
@@ -151,7 +152,7 @@ impl Default for SessionOptions {
         SessionOptions {
             opt: Options::new(),
             strategy: "Greedy".to_string(),
-            exec: None,
+            exec_mode: None,
             mv_budget_bytes: DEFAULT_MV_BUDGET_BYTES,
             time_budget,
             mem_budget,
@@ -178,9 +179,9 @@ impl SessionOptions {
         self
     }
 
-    /// Pins the execution-engine knobs (overrides the environment).
-    pub fn with_exec(mut self, exec: ExecOptions) -> Self {
-        self.exec = Some(exec);
+    /// Pins the execution engine (overrides the environment).
+    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
+        self.exec_mode = Some(mode);
         self
     }
 
@@ -521,8 +522,8 @@ impl SessionCore {
     ///
     /// # Errors
     ///
-    /// Fails with a [`StrategyError`] if the name is already taken.
-    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), StrategyError> {
+    /// Fails with kind `DuplicateStrategy` if the name is already taken.
+    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), MqoError> {
         self.registry.register(strategy)
     }
 
@@ -603,7 +604,7 @@ impl SessionCore {
             }
         }
 
-        let planned = self.plan(catalog, batch, seq, store, deadline)?;
+        let planned = self.plan(catalog, batch, store, deadline)?;
         let Planned {
             ctx,
             optimized,
@@ -680,7 +681,6 @@ impl SessionCore {
         &self,
         catalog: &'a Catalog,
         batch: &Batch,
-        seq: u64,
         store: &MvStore,
         deadline: Option<Instant>,
     ) -> Result<Planned<'a>, MqoError> {
@@ -689,15 +689,7 @@ impl SessionCore {
         let mut ctx = optimizer.prepare(batch);
 
         mqo_chaos::hit(Seam::Fingerprint)?;
-        let group_fps = mqo_dag::try_group_fingerprints(&ctx.dag).map_err(|e| {
-            MqoError::new(
-                MqoErrorKind::FingerprintUnstable,
-                ErrorStage::Plan,
-                format!("batch {seq}"),
-                e.to_string(),
-                "cross-batch fingerprinting failed: the expanded DAG is broken",
-            )
-        })?;
+        let group_fps = mqo_dag::try_group_fingerprints(&ctx.dag)?;
         let node_fps = mqo_physical::node_fingerprints(&ctx.pdag, &group_fps);
         mqo_chaos::hit(Seam::WarmLookup)?;
         let mut has_param = BitSet::new();
@@ -757,9 +749,12 @@ impl SessionCore {
             seeds.insert(w, t);
             warm_fps.push(fp);
         }
-        let (base, env_fallback) = match self.options.exec {
-            Some(e) => (e, false),
-            None => ExecOptions::lenient_from_env(),
+        let (mode, env_fallback) = match self.options.exec_mode {
+            Some(mode) => (mode, false),
+            None => {
+                let (env, fell_back) = ExecOptions::lenient_from_env();
+                (env.mode, fell_back)
+            }
         };
         // Degrade, don't starve: a budget that already expired during
         // the search would abort every query at its first checkpoint,
@@ -768,9 +763,9 @@ impl SessionCore {
         // with the (Volcano-quality) best-so-far plan.
         let exec_deadline = deadline.filter(|&d| Instant::now() < d);
         let exec_opts = ExecOptions {
+            mode,
             deadline: exec_deadline,
             mem_budget_bytes: self.options.mem_budget,
-            ..base
         };
         let seeded =
             try_execute_plan_seeded(catalog, pdag, plan, &self.db, params, exec_opts, &seeds)?;
@@ -788,7 +783,7 @@ impl SessionCore {
         store: &MvStore,
         cached: &CachedPlan,
     ) -> Result<(), MqoError> {
-        let fresh = self.plan(catalog, batch, seq, store, None)?.optimized;
+        let fresh = self.plan(catalog, batch, store, None)?.optimized;
         let (a, b) = (&cached.plan, &fresh.plan);
         let same = cached.cost.secs().to_bits() == fresh.cost.secs().to_bits()
             && a.materialized == b.materialized
@@ -938,8 +933,8 @@ impl MqoSession {
     ///
     /// # Errors
     ///
-    /// Fails with a [`StrategyError`] if the name is already taken.
-    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), StrategyError> {
+    /// Fails with kind `DuplicateStrategy` if the name is already taken.
+    pub fn register(&mut self, strategy: Arc<dyn Strategy>) -> Result<(), MqoError> {
         self.core.register(strategy)
     }
 

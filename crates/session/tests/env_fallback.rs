@@ -3,7 +3,7 @@
 //! correctly. Lives in its own integration-test binary (own process)
 //! because the environment snapshot is cached per process.
 
-use mqo_exec::{generate_database, normalize_result, ExecOptions};
+use mqo_exec::{generate_database, normalize_result, ExecMode};
 use mqo_session::{MqoSession, SessionOptions};
 use mqo_workloads::no_overlap;
 
@@ -23,7 +23,7 @@ fn malformed_env_falls_back_to_defaults_and_counts() {
         cat.clone(),
         db.clone(),
         SessionOptions::new()
-            .with_exec(ExecOptions::default())
+            .with_exec_mode(ExecMode::Vectorized)
             .with_time_budget(None)
             .with_mem_budget(None),
     );

@@ -12,7 +12,7 @@
 //!   session.
 
 use mqo_core::{Options, VerifyLevel};
-use mqo_exec::{generate_database, normalize_result, results_approx_equal, ExecMode, ExecOptions};
+use mqo_exec::{generate_database, normalize_result, results_approx_equal, ExecMode};
 use mqo_session::{BatchResult, MqoSession, SessionOptions};
 use mqo_workloads::Tpcd;
 use std::time::Duration;
@@ -22,13 +22,9 @@ const SCALE: f64 = 0.002;
 fn session_with(time_budget: Option<Duration>, mem: Option<usize>) -> MqoSession {
     let w = Tpcd::new(SCALE);
     let db = generate_database(&w.catalog, 42, usize::MAX);
-    let exec = ExecOptions {
-        mode: ExecMode::Vectorized,
-        ..ExecOptions::default()
-    };
     let opts = SessionOptions::new()
         .with_opt(Options::new().with_verify(VerifyLevel::Full))
-        .with_exec(exec)
+        .with_exec_mode(ExecMode::Vectorized)
         .with_time_budget(time_budget)
         .with_mem_budget(mem);
     MqoSession::new(w.catalog, db, opts)

@@ -7,7 +7,7 @@
 //!   identical to the cold run's.
 
 use mqo_core::{Options, VerifyLevel};
-use mqo_exec::{generate_database, normalize_result, results_approx_equal, ExecOptions};
+use mqo_exec::{generate_database, normalize_result, results_approx_equal, ExecMode};
 use mqo_expr::{ParamId, Value};
 use mqo_session::{BatchResult, MqoSession, SessionCore, SessionOptions};
 use mqo_util::{ErrorStage, FxHashMap, MqoErrorKind};
@@ -28,7 +28,7 @@ fn run_stream(rounds: usize) -> Vec<BatchResult> {
     let w = Tpcd::new(SCALE);
     let batches = w.serving_batches(rounds);
     let db = generate_database(&w.catalog, 42, usize::MAX);
-    let opts = verified().with_exec(ExecOptions::default());
+    let opts = verified().with_exec_mode(ExecMode::Vectorized);
     let mut session = MqoSession::new(w.catalog, db, opts);
     batches
         .iter()

@@ -6,6 +6,8 @@
 //! User-supplied text must never panic the pipeline; it either plans or
 //! comes back as one of these.
 
+use mqo_util::render_caret;
+
 /// A half-open byte range `[lo, hi)` into the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
@@ -84,8 +86,9 @@ impl SqlError {
         SqlError { kind, span }
     }
 
-    /// Renders a two-line diagnostic: the message, then the offending
-    /// source line with a caret run under the span.
+    /// Renders a caret diagnostic through [`mqo_util::render_caret`]:
+    /// the message, the line and column, then the offending source line
+    /// with a caret run under the span.
     #[must_use]
     pub fn render(&self, src: &str) -> String {
         let (lo, hi) = (
@@ -98,12 +101,13 @@ impl SqlError {
         let line_no = src[..line_start].matches('\n').count() + 1;
         let line = &src[line_start..line_end];
         let col = lo - line_start;
-        let width = hi.min(line_end).saturating_sub(lo).max(1);
-        format!(
-            "error: {self}\n  --> line {line_no}, column {}\n   | {line}\n   | {}{}",
-            col + 1,
-            " ".repeat(col),
-            "^".repeat(width)
+        render_caret(
+            "error",
+            &self.to_string(),
+            &format!("line {line_no}, column {}", col + 1),
+            line,
+            col,
+            hi.min(line_end).saturating_sub(lo),
         )
     }
 }

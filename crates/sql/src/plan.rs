@@ -344,7 +344,7 @@ impl SqlPlanner {
 
         validate(&plan, catalog).map_err(|e| {
             SqlError::new(
-                SqlErrorKind::Invalid(format!("plan validation failed: {e:?}")),
+                SqlErrorKind::Invalid(format!("plan validation failed: {}", e.message)),
                 sel.span,
             )
         })?;

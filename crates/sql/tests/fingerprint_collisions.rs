@@ -15,7 +15,7 @@
 //! DAG's rule closure. Equal fingerprints with different keys are a
 //! genuine collision.
 
-use mqo_dag::{group_fingerprints, Dag, DagConfig};
+use mqo_dag::{try_group_fingerprints, Dag, DagConfig};
 use mqo_logical::LogicalPlan;
 use mqo_sql::{to_batch, QueryGen, SqlPlanner};
 use mqo_workloads::Tpcd;
@@ -96,7 +96,7 @@ fn fuzzed_corpus_is_collision_free() {
         let batch = to_batch(&planned);
         let key = semantic_key(&batch.queries[0].plan);
         let dag = Dag::expand(&batch, &catalog, DagConfig::default());
-        let fps = group_fingerprints(&dag);
+        let fps = try_group_fingerprints(&dag).expect("expanded DAG fingerprints");
         let root = dag.op_inputs(dag.root_op())[0];
         let fp = fps[&root];
         match seen.get(&fp) {

@@ -14,107 +14,82 @@
 //! (the serving facade), and `mqo-chaos` (fault injection) can all
 //! construct and propagate it without dependency cycles.
 
+use crate::diagnostic::{render_caret, write_one_line};
 use std::fmt;
 
-/// Pipeline stage an error belongs to — mirrors `VerifyStage`, but over
-/// the *runtime* pipeline (a serving submit) rather than the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorStage {
-    /// DAG expansion / physicalization / fingerprinting.
-    Plan,
-    /// The materialization-set search (any strategy).
-    Search,
-    /// Plan extraction from a converged state.
-    Extract,
-    /// Plan execution (temp builds and query evaluation).
-    Execute,
-    /// MV-store admission/eviction.
-    Admission,
-    /// Session-level orchestration (warm lookup, store verification).
-    Session,
-    /// The multi-tenant serving front: batch forming, snapshot reads,
-    /// commits, and the TCP protocol.
-    Serve,
+crate::named_enum! {
+    /// Pipeline stage an error belongs to — mirrors `VerifyStage`, but over
+    /// the *runtime* pipeline (a serving submit) rather than the IR.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ErrorStage {
+        /// DAG expansion / physicalization / fingerprinting.
+        Plan => "plan",
+        /// The materialization-set search (any strategy).
+        Search => "search",
+        /// Plan extraction from a converged state.
+        Extract => "extract",
+        /// Plan execution (temp builds and query evaluation).
+        Execute => "execute",
+        /// MV-store admission/eviction.
+        Admission => "admission",
+        /// Session-level orchestration (warm lookup, store verification).
+        Session => "session",
+        /// The multi-tenant serving front: batch forming, snapshot reads,
+        /// commits, and the TCP protocol.
+        Serve => "serve",
+    }
 }
 
 impl fmt::Display for ErrorStage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ErrorStage::Plan => "plan",
-            ErrorStage::Search => "search",
-            ErrorStage::Extract => "extract",
-            ErrorStage::Execute => "execute",
-            ErrorStage::Admission => "admission",
-            ErrorStage::Session => "session",
-            ErrorStage::Serve => "serve",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
-/// The failure taxonomy. Every variant is either produced by a
-/// converted panic path, the resource governor, or an injected fault —
-/// see DESIGN.md's "Robustness layer" table for the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MqoErrorKind {
-    /// No strategy with the requested name is registered.
-    UnknownStrategy,
-    /// A strategy with this name is already registered.
-    DuplicateStrategy,
-    /// The per-submit wall-clock budget expired past the point where
-    /// graceful degradation could absorb it (executor mid-query).
-    TimeBudgetExpired,
-    /// The per-submit memory budget was exceeded by intermediate
-    /// results during execution.
-    MemBudgetExceeded,
-    /// A structurally broken plan was discovered at run time: a node
-    /// with no recorded choice, a reuse of a never-materialized temp,
-    /// an unexecutable pseudo-root.
-    PlanBroken,
-    /// A plan reads a warm temp that has no live seed — the cache state
-    /// the plan was extracted against is gone.
-    MissingSeed,
-    /// A deterministic failpoint (`mqo-chaos`) fired.
-    FaultInjected,
-    /// A runtime invariant check failed at a recoverable boundary
-    /// (e.g. MV-store accounting after admission).
-    InvariantViolated,
-    /// Canonical fingerprinting of the expanded DAG failed, so
-    /// cross-batch cache identity cannot be established.
-    FingerprintUnstable,
-    /// A malformed or out-of-contract frame on the serving protocol
-    /// (bad magic, oversized length, unknown opcode, missing Hello).
-    Protocol,
-    /// The serving front is shutting down (or has shut down): the
-    /// submission was rejected or abandoned rather than processed.
-    Shutdown,
-    /// A SQL statement failed to parse or plan; the caret diagnostic is
-    /// carried in `detail`.
-    Sql,
-    /// A tenant hit its in-flight cap at the batch former — the
-    /// submission was rejected for backpressure, not for being wrong.
-    Overloaded,
-}
-
-impl MqoErrorKind {
-    /// Short stable name used in rendered diagnostics.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MqoErrorKind::UnknownStrategy => "unknown-strategy",
-            MqoErrorKind::DuplicateStrategy => "duplicate-strategy",
-            MqoErrorKind::TimeBudgetExpired => "time-budget-expired",
-            MqoErrorKind::MemBudgetExceeded => "mem-budget-exceeded",
-            MqoErrorKind::PlanBroken => "plan-broken",
-            MqoErrorKind::MissingSeed => "missing-seed",
-            MqoErrorKind::FaultInjected => "fault-injected",
-            MqoErrorKind::InvariantViolated => "invariant-violated",
-            MqoErrorKind::FingerprintUnstable => "fingerprint-unstable",
-            MqoErrorKind::Protocol => "protocol",
-            MqoErrorKind::Shutdown => "shutdown",
-            MqoErrorKind::Sql => "sql",
-            MqoErrorKind::Overloaded => "overloaded",
-        }
+crate::named_enum! {
+    /// The failure taxonomy. Every variant is either produced by a
+    /// converted panic path, the resource governor, or an injected fault —
+    /// see DESIGN.md's "Robustness layer" table for the catalog.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum MqoErrorKind {
+        /// No strategy with the requested name is registered.
+        UnknownStrategy => "unknown-strategy",
+        /// A strategy with this name is already registered.
+        DuplicateStrategy => "duplicate-strategy",
+        /// The per-submit wall-clock budget expired past the point where
+        /// graceful degradation could absorb it (executor mid-query).
+        TimeBudgetExpired => "time-budget-expired",
+        /// The per-submit memory budget was exceeded by intermediate
+        /// results during execution.
+        MemBudgetExceeded => "mem-budget-exceeded",
+        /// A structurally broken plan was discovered: a logical plan
+        /// whose columns are not bound by its inputs, a node with no
+        /// recorded choice, a reuse of a never-materialized temp, an
+        /// unexecutable pseudo-root.
+        PlanBroken => "plan-broken",
+        /// A plan reads a warm temp that has no live seed — the cache state
+        /// the plan was extracted against is gone.
+        MissingSeed => "missing-seed",
+        /// A deterministic failpoint (`mqo-chaos`) fired.
+        FaultInjected => "fault-injected",
+        /// A runtime invariant check failed at a recoverable boundary
+        /// (e.g. MV-store accounting after admission).
+        InvariantViolated => "invariant-violated",
+        /// Canonical fingerprinting of the expanded DAG failed, so
+        /// cross-batch cache identity cannot be established.
+        FingerprintUnstable => "fingerprint-unstable",
+        /// A malformed or out-of-contract frame on the serving protocol
+        /// (bad magic, oversized length, unknown opcode, missing Hello).
+        Protocol => "protocol",
+        /// The serving front is shutting down (or has shut down): the
+        /// submission was rejected or abandoned rather than processed.
+        Shutdown => "shutdown",
+        /// A SQL statement failed to parse or plan; the caret diagnostic is
+        /// carried in `detail`.
+        Sql => "sql",
+        /// A tenant hit its in-flight cap at the batch former — the
+        /// submission was rejected for backpressure, not for being wrong.
+        Overloaded => "overloaded",
     }
 }
 
@@ -239,8 +214,8 @@ impl MqoError {
         )
     }
 
-    /// Renders a caret diagnostic in the same shape as
-    /// `VerifyError::render` and `SqlError::render`:
+    /// Renders a caret diagnostic through [`render_caret`], the shape
+    /// `VerifyError::render` and `SqlError::render` share:
     ///
     /// ```text
     /// error[fault-injected]: injected fault at seam `temp-build`
@@ -250,43 +225,39 @@ impl MqoError {
     /// ```
     #[must_use]
     pub fn render(&self) -> String {
-        let site = if self.site.is_empty() {
+        let site = self.site_or_dash();
+        let line = if self.detail.is_empty() {
+            site
+        } else {
+            &self.detail
+        };
+        render_caret(
+            &format!("error[{}]", self.kind.name()),
+            &self.message,
+            &format!("stage {}, site {site}", self.stage),
+            line,
+            0,
+            line.chars().count(),
+        )
+    }
+
+    fn site_or_dash(&self) -> &str {
+        if self.site.is_empty() {
             "-"
         } else {
             &self.site
-        };
-        let line = if self.detail.is_empty() {
-            site.to_string()
-        } else {
-            self.detail.clone()
-        };
-        let width = line.chars().count().max(1);
-        format!(
-            "error[{}]: {}\n  --> stage {}, site {}\n   | {}\n   | {}",
-            self.kind.name(),
-            self.message,
-            self.stage,
-            site,
-            line,
-            "^".repeat(width)
-        )
+        }
     }
 }
 
 impl fmt::Display for MqoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let site = if self.site.is_empty() {
-            "-"
-        } else {
-            &self.site
-        };
-        write!(
+        write_one_line(
             f,
-            "[{}/{}] {} (at {})",
-            self.stage,
+            &self.stage,
             self.kind.name(),
-            self.message,
-            site
+            &self.message,
+            &self.site_or_dash(),
         )
     }
 }
@@ -317,6 +288,18 @@ mod tests {
                 .chars()
                 .count()
         );
+    }
+
+    #[test]
+    fn names_round_trip_through_the_tables() {
+        for &k in MqoErrorKind::ALL {
+            assert_eq!(MqoErrorKind::from_name(k.name()), Some(k));
+        }
+        for &s in ErrorStage::ALL {
+            assert_eq!(ErrorStage::from_name(&s.to_string()), Some(s));
+        }
+        assert_eq!(MqoErrorKind::from_name("no-such-kind"), None);
+        assert_eq!(ErrorStage::from_name("no-such-stage"), None);
     }
 
     #[test]

@@ -261,7 +261,7 @@ pub fn check_fingerprints(dag: &Dag) -> Vec<VerifyError> {
                 VerifyErrorKind::DagLinkBroken,
                 Site::None,
                 String::new(),
-                format!("fingerprinting failed: {e}"),
+                format!("fingerprinting failed: {}", e.message),
             ));
             return errors;
         }

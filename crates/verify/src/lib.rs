@@ -36,146 +36,113 @@ pub mod physical;
 
 use mqo_dag::{Dag, GroupId, OpId};
 use mqo_physical::{PhysNodeId, PhysOpId, PhysicalDag};
+use mqo_util::{render_caret, write_one_line};
 
-/// Pipeline stage a diagnostic belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VerifyStage {
-    /// Logical plan trees (pre-expansion).
-    Logical,
-    /// The unified AND-OR DAG.
-    Dag,
-    /// The physicalized DAG.
-    Physical,
-    /// Cost tables and reported search totals.
-    Cost,
-    /// Extracted plans (materialization schedules).
-    Extraction,
-    /// The cross-batch materialized-view cache.
-    Cache,
+mqo_util::named_enum! {
+    /// Pipeline stage a diagnostic belongs to.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum VerifyStage {
+        /// Logical plan trees (pre-expansion).
+        Logical => "logical",
+        /// The unified AND-OR DAG.
+        Dag => "dag",
+        /// The physicalized DAG.
+        Physical => "physical",
+        /// Cost tables and reported search totals.
+        Cost => "cost",
+        /// Extracted plans (materialization schedules).
+        Extraction => "extraction",
+        /// The cross-batch materialized-view cache.
+        Cache => "cache",
+    }
 }
 
 impl std::fmt::Display for VerifyStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            VerifyStage::Logical => "logical",
-            VerifyStage::Dag => "dag",
-            VerifyStage::Physical => "physical",
-            VerifyStage::Cost => "cost",
-            VerifyStage::Extraction => "extraction",
-            VerifyStage::Cache => "cache",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
-/// The typed diagnostics catalog. Every variant is proven live by a
-/// negative test that constructs deliberately broken IR and asserts the
-/// exact kind fires (`crates/verify/tests/negative.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VerifyErrorKind {
-    // -- logical ------------------------------------------------------
-    /// A column reference does not resolve against the catalog or the
-    /// columns its input subtree produces.
-    UnboundColumn,
-    /// Predicate or aggregate operand types disagree (string compared to
-    /// a number, `SUM` over a string, arithmetic on a string).
-    TypeMismatch,
-    /// A projection names columns its input does not produce.
-    ProjectionNotSubset,
-    // -- dag ----------------------------------------------------------
-    /// The AND-OR DAG has a cycle reachable from the root.
-    DagCycle,
-    /// Group/op referential integrity is broken: an op not back-linked
-    /// from its inputs' parent lists, an op owned by a group that does
-    /// not list it, a reachable group with no alive op, or topological
-    /// numbers that do not put children before parents.
-    DagLinkBroken,
-    /// Two distinct live groups share a canonical fingerprint — the
-    /// cross-batch memoization key would conflate them.
-    FingerprintCollision,
-    /// A subsumption-derived op is not a unary Select/Aggregate over a
-    /// group with the owner's relation set (§2.1 derivations relate
-    /// expressions over the same relations).
-    SubsumptionMismatch,
-    /// The pseudo-root is malformed: missing, not exactly one alive Root
-    /// op, Root ops outside the root group, or invocation weights that
-    /// are non-finite, non-positive, or mismatched in arity.
-    RootBroken,
-    /// A strategy's reported `sharable` statistic disagrees with the
-    /// §4.1 definition recomputed from the DAG.
-    SharableMismatch,
-    // -- physical -----------------------------------------------------
-    /// Physical node/op referential integrity is broken (bad ownership
-    /// back-links, inputs not topologically before consumers, a node
-    /// with no ops, root weights on a non-root op).
-    PhysLinkBroken,
-    /// A node promises a sort order no enforcer or order-preserving op
-    /// attached to it actually delivers.
-    OrderNotJustified,
-    /// A temp-dependent op is inconsistent: not registered with its
-    /// source group's watcher list, carried by an algorithm that takes
-    /// no temp, or missing from one that requires it.
-    TempDepBroken,
-    // -- cost ---------------------------------------------------------
-    /// A cost is NaN or negative, a table's `best_op`/`node_cost` books
-    /// disagree with each other, or a cost that must be finite is not.
-    CostInvalid,
-    /// A plan's total is below the sum of the local-cost floors of the
-    /// operators it actually runs.
-    CostBelowFloor,
-    /// A sharing strategy reported a cost above the Volcano no-sharing
-    /// baseline — sharing must never lose to independent optimization.
-    CostAboveBaseline,
-    /// A reported total understates a fresh bottom-up recomputation
-    /// under the same materialized set (seeded warm nodes excluded
-    /// exactly once), or a plan's stamped total disagrees with its own
-    /// materialization schedule.
-    TotalMismatch,
-    // -- extraction ---------------------------------------------------
-    /// A node is scheduled both as a cold materialization and as a warm
-    /// cache read, or a warm/cold list escapes its defining set.
-    WarmColdOverlap,
-    /// The materialization schedule builds a temp twice, or a temp's
-    /// definition reads a temp that is not built yet (the executor would
-    /// silently recompute, diverging from the costed plan).
-    TempOrderViolation,
-    /// The extracted plan is structurally unsound: missing choices for
-    /// referenced nodes, a reuse pointing outside the materialized/warm
-    /// sets or at an unsatisfying variant, or a malformed root.
-    ExtractionBroken,
-    // -- cache --------------------------------------------------------
-    /// `MvStore` accounting is inconsistent: byte sums, budget, entry
-    /// metadata, or admit/evict counters do not balance.
-    CacheAccounting,
-}
-
-impl VerifyErrorKind {
-    /// Short stable name used in rendered diagnostics.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        use VerifyErrorKind::*;
-        match self {
-            UnboundColumn => "unbound-column",
-            TypeMismatch => "type-mismatch",
-            ProjectionNotSubset => "projection-not-subset",
-            DagCycle => "dag-cycle",
-            DagLinkBroken => "dag-link-broken",
-            FingerprintCollision => "fingerprint-collision",
-            SubsumptionMismatch => "subsumption-mismatch",
-            RootBroken => "root-broken",
-            SharableMismatch => "sharable-mismatch",
-            PhysLinkBroken => "phys-link-broken",
-            OrderNotJustified => "order-not-justified",
-            TempDepBroken => "temp-dep-broken",
-            CostInvalid => "cost-invalid",
-            CostBelowFloor => "cost-below-floor",
-            CostAboveBaseline => "cost-above-baseline",
-            TotalMismatch => "total-mismatch",
-            WarmColdOverlap => "warm-cold-overlap",
-            TempOrderViolation => "temp-order-violation",
-            ExtractionBroken => "extraction-broken",
-            CacheAccounting => "cache-accounting",
-        }
+mqo_util::named_enum! {
+    /// The typed diagnostics catalog. Every variant is proven live by a
+    /// negative test that constructs deliberately broken IR and asserts the
+    /// exact kind fires (`crates/verify/tests/negative.rs`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum VerifyErrorKind {
+        // -- logical ------------------------------------------------------
+        /// A column reference does not resolve against the catalog or the
+        /// columns its input subtree produces.
+        UnboundColumn => "unbound-column",
+        /// Predicate or aggregate operand types disagree (string compared to
+        /// a number, `SUM` over a string, arithmetic on a string).
+        TypeMismatch => "type-mismatch",
+        /// A projection names columns its input does not produce.
+        ProjectionNotSubset => "projection-not-subset",
+        // -- dag ----------------------------------------------------------
+        /// The AND-OR DAG has a cycle reachable from the root.
+        DagCycle => "dag-cycle",
+        /// Group/op referential integrity is broken: an op not back-linked
+        /// from its inputs' parent lists, an op owned by a group that does
+        /// not list it, a reachable group with no alive op, or topological
+        /// numbers that do not put children before parents.
+        DagLinkBroken => "dag-link-broken",
+        /// Two distinct live groups share a canonical fingerprint — the
+        /// cross-batch memoization key would conflate them.
+        FingerprintCollision => "fingerprint-collision",
+        /// A subsumption-derived op is not a unary Select/Aggregate over a
+        /// group with the owner's relation set (§2.1 derivations relate
+        /// expressions over the same relations).
+        SubsumptionMismatch => "subsumption-mismatch",
+        /// The pseudo-root is malformed: missing, not exactly one alive Root
+        /// op, Root ops outside the root group, or invocation weights that
+        /// are non-finite, non-positive, or mismatched in arity.
+        RootBroken => "root-broken",
+        /// A strategy's reported `sharable` statistic disagrees with the
+        /// §4.1 definition recomputed from the DAG.
+        SharableMismatch => "sharable-mismatch",
+        // -- physical -----------------------------------------------------
+        /// Physical node/op referential integrity is broken (bad ownership
+        /// back-links, inputs not topologically before consumers, a node
+        /// with no ops, root weights on a non-root op).
+        PhysLinkBroken => "phys-link-broken",
+        /// A node promises a sort order no enforcer or order-preserving op
+        /// attached to it actually delivers.
+        OrderNotJustified => "order-not-justified",
+        /// A temp-dependent op is inconsistent: not registered with its
+        /// source group's watcher list, carried by an algorithm that takes
+        /// no temp, or missing from one that requires it.
+        TempDepBroken => "temp-dep-broken",
+        // -- cost ---------------------------------------------------------
+        /// A cost is NaN or negative, a table's `best_op`/`node_cost` books
+        /// disagree with each other, or a cost that must be finite is not.
+        CostInvalid => "cost-invalid",
+        /// A plan's total is below the sum of the local-cost floors of the
+        /// operators it actually runs.
+        CostBelowFloor => "cost-below-floor",
+        /// A sharing strategy reported a cost above the Volcano no-sharing
+        /// baseline — sharing must never lose to independent optimization.
+        CostAboveBaseline => "cost-above-baseline",
+        /// A reported total understates a fresh bottom-up recomputation
+        /// under the same materialized set (seeded warm nodes excluded
+        /// exactly once), or a plan's stamped total disagrees with its own
+        /// materialization schedule.
+        TotalMismatch => "total-mismatch",
+        // -- extraction ---------------------------------------------------
+        /// A node is scheduled both as a cold materialization and as a warm
+        /// cache read, or a warm/cold list escapes its defining set.
+        WarmColdOverlap => "warm-cold-overlap",
+        /// The materialization schedule builds a temp twice, or a temp's
+        /// definition reads a temp that is not built yet (the executor would
+        /// silently recompute, diverging from the costed plan).
+        TempOrderViolation => "temp-order-violation",
+        /// The extracted plan is structurally unsound: missing choices for
+        /// referenced nodes, a reuse pointing outside the materialized/warm
+        /// sets or at an unsatisfying variant, or a malformed root.
+        ExtractionBroken => "extraction-broken",
+        // -- cache --------------------------------------------------------
+        /// `MvStore` accounting is inconsistent: byte sums, budget, entry
+        /// metadata, or admit/evict counters do not balance.
+        CacheAccounting => "cache-accounting",
     }
 }
 
@@ -243,9 +210,10 @@ impl VerifyError {
         }
     }
 
-    /// Renders a caret diagnostic in the same shape as `SqlError::render`:
-    /// the message, a location line, then the offending object with a
-    /// caret run underneath.
+    /// Renders a caret diagnostic through [`mqo_util::render_caret`],
+    /// the shape `SqlError::render` and `MqoError::render` share: the
+    /// message, a location line, then the offending object with a caret
+    /// run underneath.
     ///
     /// ```text
     /// error[dag-cycle]: cycle through group g3
@@ -255,34 +223,26 @@ impl VerifyError {
     /// ```
     #[must_use]
     pub fn render(&self) -> String {
+        let site = self.site.to_string();
         let line = if self.detail.is_empty() {
-            self.site.to_string()
+            &site
         } else {
-            self.detail.clone()
+            &self.detail
         };
-        let width = line.chars().count().max(1);
-        format!(
-            "error[{}]: {}\n  --> stage {}, site {}\n   | {}\n   | {}",
-            self.kind.name(),
-            self.message,
-            self.stage,
-            self.site,
+        render_caret(
+            &format!("error[{}]", self.kind.name()),
+            &self.message,
+            &format!("stage {}, site {site}", self.stage),
             line,
-            "^".repeat(width)
+            0,
+            line.chars().count(),
         )
     }
 }
 
 impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "[{}/{}] {} (at {})",
-            self.stage,
-            self.kind.name(),
-            self.message,
-            self.site
-        )
+        write_one_line(f, &self.stage, self.kind.name(), &self.message, &self.site)
     }
 }
 

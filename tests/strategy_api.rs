@@ -7,7 +7,6 @@
 use mqo::catalog::{Catalog, ColStats, ColType};
 use mqo::core::{
     CostState, OptContext, OptStats, Optimized, Optimizer, Options, Registry, Strategy,
-    StrategyError,
 };
 use mqo::exec::{execute_plan, generate_database, normalize_result, results_approx_equal};
 use mqo::expr::{AggExpr, AggFunc, Atom, Predicate, ScalarExpr};
@@ -151,12 +150,14 @@ fn duplicate_registration_is_an_error() {
     let mut optimizer = Optimizer::new(&cat);
     optimizer.register(Arc::new(BestSingleTemp)).unwrap();
     let err = optimizer.register(Arc::new(BestSingleTemp)).unwrap_err();
-    assert_eq!(err, StrategyError::Duplicate("Best-Single-Temp".into()));
+    assert_eq!(err.kind, MqoErrorKind::DuplicateStrategy);
+    assert_eq!(err.site, "Best-Single-Temp");
     // a clashing name against a built-in is equally rejected
     let err = optimizer
         .register(Arc::new(mqo::core::Volcano))
         .unwrap_err();
-    assert_eq!(err, StrategyError::Duplicate("Volcano".into()));
+    assert_eq!(err.kind, MqoErrorKind::DuplicateStrategy);
+    assert_eq!(err.site, "Volcano");
     // registry state is unchanged: built-ins + one toy
     assert_eq!(optimizer.registry().len(), Registry::builtin().len() + 1);
 }
