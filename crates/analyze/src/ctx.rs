@@ -29,7 +29,8 @@ pub struct FnInfo {
     pub name: String,
     /// Token index of the name.
     pub name_tok: u32,
-    /// `pub` (any restriction) visibility.
+    /// `pub` (any restriction) visibility, or a method of an
+    /// `impl Trait for Type` block, which is as public as the trait.
     pub is_pub: bool,
     /// The attached doc comment contains a `# Panics` section.
     pub has_panics_doc: bool,
@@ -253,6 +254,21 @@ fn collect_fns(src: &str, lexed: &Lexed, matching: &[u32]) -> (Vec<FnInfo>, Vec<
             body,
         });
     }
+    // a method of a trait impl, not a fn nested in some body inside it
+    for block in trait_impl_bodies(src, toks, matching) {
+        let inside = |i: u32| block.0 < i && i < block.1;
+        let bodies: Vec<(u32, u32)> = fns
+            .iter()
+            .filter_map(|f| f.body)
+            .filter(|&(lo, _)| inside(lo))
+            .collect();
+        for f in &mut fns {
+            let at = f.name_tok;
+            if inside(at) && !bodies.iter().any(|&(lo, hi)| lo < at && at < hi) {
+                f.is_pub = true;
+            }
+        }
+    }
     let mut enclosing = vec![u32::MAX; toks.len()];
     for (id, f) in fns.iter().enumerate() {
         if let Some((lo, hi)) = f.body {
@@ -263,6 +279,44 @@ fn collect_fns(src: &str, lexed: &Lexed, matching: &[u32]) -> (Vec<FnInfo>, Vec<
         }
     }
     (fns, enclosing)
+}
+
+/// Token ranges (inclusive braces) of `impl .. for Type { .. }` item
+/// blocks. Only an `impl` that starts an item counts, not `impl Trait`
+/// in a type; `->` inside the header is not a closing angle bracket.
+fn trait_impl_bodies(src: &str, toks: &[Tok], matching: &[u32]) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        let starts_item = i == 0 || {
+            let prev = &toks[i - 1];
+            [b'}', b';', b'{', b']']
+                .iter()
+                .any(|&b| prev.is_punct(src, b))
+                || prev.is_ident(src, "unsafe")
+        };
+        if !toks[i].is_ident(src, "impl") || !starts_item {
+            continue;
+        }
+        let (mut angle, mut is_for) = (0i32, false);
+        for j in i + 1..toks.len() {
+            let t = &toks[j];
+            if t.is_punct(src, b'<') {
+                angle += 1;
+            } else if t.is_punct(src, b'>') && !toks[j - 1].is_punct(src, b'-') {
+                angle -= 1;
+            } else if angle == 0 && t.is_ident(src, "for") {
+                is_for = true;
+            } else if t.is_punct(src, b'{') {
+                if is_for && matching[j] != u32::MAX {
+                    out.push((j as u32, matching[j]));
+                }
+                break;
+            } else if t.is_punct(src, b';') {
+                break;
+            }
+        }
+    }
+    out
 }
 
 /// Walks back over the item prefix (`pub(crate) unsafe const async
@@ -467,6 +521,27 @@ pub(crate) fn plain<T: Ord<u8>>(v: &T) {}
         assert!(!s.is_pub && !s.has_panics_doc && s.mut_self);
         let p = by_name("plain");
         assert!(p.is_pub && !p.mut_self);
+    }
+
+    #[test]
+    fn trait_impl_methods_count_as_pub() {
+        let src = "\
+impl<F: Fn() -> u32> Strategy for Greedy<F> {
+    fn search(&self) { fn helper() {} }
+}
+impl Greedy { fn inherent(&self) {} }
+fn make() -> impl Iterator<Item = u32> { for x in 0..1 {} std::iter::empty() }
+unsafe impl Send for Greedy {}
+";
+        let ctx = FileCtx::build("crates/core/src/x.rs", src);
+        let by_name = |n: &str| ctx.fns.iter().find(|f| f.name == n).unwrap();
+        assert!(by_name("search").is_pub);
+        assert!(!by_name("helper").is_pub, "nested in a method body");
+        assert!(!by_name("inherent").is_pub);
+        assert!(
+            !by_name("make").is_pub,
+            "`impl Trait` in a type is no impl block"
+        );
     }
 
     #[test]

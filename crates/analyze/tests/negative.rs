@@ -163,6 +163,21 @@ fn panic_path_fires_on_indexing_in_pub_fn() {
 }
 
 #[test]
+fn panic_path_fires_on_indexing_in_trait_impl_method() {
+    // a trait method is as public as its trait, though it spells no `pub`
+    let src = "impl Strategy for Greedy {\n    fn search(&self, v: &[u32]) -> u32 {\n        \
+               v[0]\n    }\n}\n";
+    let f = one("crates/core/src/fake.rs", src, LintKind::PanicPath);
+    assert_eq!(f.line, 3, "{f:#?}");
+    assert!(f.message.contains("public fn `search`"), "{}", f.message);
+    // an inherent method without `pub` stays a private helper
+    clean(
+        "crates/core/src/fake.rs",
+        "impl Greedy {\n    fn search(&self, v: &[u32]) -> u32 {\n        v[0]\n    }\n}\n",
+    );
+}
+
+#[test]
 fn panic_path_cleared_by_panics_doc() {
     let src = "/// Reads an element.\n///\n/// # Panics\n///\n/// Panics when `i >= v.len()`.\n\
                pub fn f(v: &[u32], i: usize) -> u32 {\n    v[i]\n}\n";

@@ -3,9 +3,10 @@
 //! row-at-a-time operator paths (`vec_exec`), the borrow-based
 //! `eval_pred` hot path, the four kernels that read `Int` key images
 //! (`nl_join`'s one-pass equi probe, `sort_by`'s radix sort,
-//! `merge_join`'s key groups, `sort_aggregate`'s group boundaries) and a
-//! filter pipelined into its projection (`filter_project`) at the sizes
-//! the `batch-cold` workload runs them.
+//! `merge_join`'s key groups, `sort_aggregate`'s group boundaries), the
+//! typed selection kernels alone (`select`) and a filter pipelined into
+//! its projection (`filter_project`) at the sizes the `batch-cold`
+//! workload runs them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_core::Optimizer;
@@ -110,7 +111,8 @@ fn bench_eval_pred_row(c: &mut Criterion) {
 
 /// The typed kernels at the shapes that dominate `batch-cold`: the
 /// largest nested-loops join there has a 479-row outer against a
-/// 60 000-row inner on one `c_i = c_j` atom, the largest sort is
+/// 60 000-row inner on one `c_i = c_j` atom, the foreign-key joins a
+/// 100-row outer that every inner row hits, the largest sort is
 /// 60 000 rows of nine columns on one `Int` key, and the largest merge
 /// join and sort aggregate read 60 000 sorted rows on one `Int` key.
 fn bench_typed_kernels(c: &mut Criterion) {
@@ -130,13 +132,17 @@ fn bench_typed_kernels(c: &mut Criterion) {
     };
     let params = Params::default();
 
-    let (outer, inner) = (table(0, 3, 479, 15_013), table(10, 3, 60_000, 15_013));
+    // 479 × 60 000 hits a quarter of the inner rows; 100 × 29 232 is
+    // the foreign-key shape, where every inner row hits one outer row
     let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
     let mut group = c.benchmark_group("nl_join");
     group.sample_size(10);
-    group.bench_function("equi 479x60000", |b| {
-        b.iter(|| black_box(vops::nl_join(&outer, &inner, &pred, &params).len()));
-    });
+    for (n_outer, n_inner, domain) in [(479, 60_000, 15_013), (100, 29_232, 100)] {
+        let (outer, inner) = (table(0, 3, n_outer, domain), table(10, 3, n_inner, domain));
+        group.bench_function(format!("equi {n_outer}x{n_inner}"), |b| {
+            b.iter(|| black_box(vops::nl_join(&outer, &inner, &pred, &params).len()));
+        });
+    }
     group.finish();
 
     let unsorted = table(0, 9, 60_000, 15_013);
@@ -217,12 +223,43 @@ fn bench_filter_project(c: &mut Criterion) {
     group.finish();
 }
 
+/// The selection kernels alone, at `batch-cold`'s shapes: 60 000 rows,
+/// one `Int` atom `x < cut` keeping ≈ 10 %, 50 % and 90 % of them, and
+/// one `Str` equality over separately allocated strings of a 7-value
+/// domain (≈ 14 %).
+fn bench_select(c: &mut Criterion) {
+    use mqo_catalog::ColId;
+    let modes = ["AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"];
+    let rows = (0..60_000i64)
+        .map(|i| {
+            let k = i * 7919 % 2_527;
+            vec![Value::Int(k), Value::str(modes[(k % 7) as usize])]
+        })
+        .collect();
+    let t = Table::new(vec![ColId(0), ColId(1)], rows);
+    let params = Params::default();
+    let mut group = c.benchmark_group("select");
+    group.sample_size(10);
+    for (name, cut) in [("sel0.1", 253i64), ("sel0.5", 1_263), ("sel0.9", 2_274)] {
+        let pred = Predicate::atom(Atom::cmp(ColId(0), CmpOp::Lt, cut));
+        group.bench_function(format!("int lt 60000/{name}"), |b| {
+            b.iter(|| black_box(vops::select(&t, &pred, &params).map(|s| s.len())));
+        });
+    }
+    let pred = Predicate::atom(Atom::cmp(ColId(1), CmpOp::Eq, Value::str("MAIL")));
+    group.bench_function("str eq 60000", |b| {
+        b.iter(|| black_box(vops::select(&t, &pred, &params).map(|s| s.len())));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shared_vs_unshared,
     bench_vec_exec,
     bench_eval_pred_row,
     bench_typed_kernels,
+    bench_select,
     bench_filter_project
 );
 criterion_main!(benches);

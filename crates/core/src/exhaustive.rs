@@ -1,6 +1,6 @@
 //! Exhaustive materialization-set search — the doubly-exponential
-//! strategy the paper's §4 motivates against. Used as an oracle in tests
-//! and to sanity-check greedy on tiny inputs.
+//! strategy the paper's §4 motivates against. The tests use it as a
+//! reference for Greedy on inputs small enough for it to be exact.
 
 use crate::{OptContext, OptStats, Optimized, Options, Strategy};
 use mqo_dag::sharable_groups;
@@ -11,11 +11,12 @@ use mqo_util::MqoError;
 /// subsets are enumerated.
 const MAX_CANDIDATES: usize = 16;
 
-/// The exhaustive oracle strategy (registry name `"Exhaustive"`):
-/// enumerates every subset of the sharable candidates and keeps the one
-/// with minimum `bestcost(Q, S)`. Candidates beyond `MAX_CANDIDATES` are
-/// dropped (largest degree of sharing kept) — exhaustive search is only
-/// an oracle for small inputs, not a practical algorithm.
+/// Exhaustive subset search (registry name `"Exhaustive"`): enumerates
+/// every subset of the sharable candidates and keeps the one with
+/// minimum `bestcost(Q, S)`. It is exact only for inputs with at most
+/// `MAX_CANDIDATES` = 16 candidates. Beyond that it keeps the 16 with
+/// the largest degree of sharing and drops the rest, so it is no
+/// oracle: on BQ2–BQ5 and CQ1–CQ5 its plan costs more than Greedy's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Exhaustive;
 

@@ -241,6 +241,14 @@ impl Strategy for Greedy {
         "Greedy"
     }
 
+    /// The greedy heuristic (§4), with the monotonicity heuristic's lazy
+    /// benefit re-evaluation (§4.3) when `options.greedy` enables it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a candidate names a node outside `ctx.pdag`'s cost
+    /// table; candidates are drawn from `ctx.pdag` itself, so only an
+    /// inconsistent context can.
     fn search(&self, ctx: &OptContext<'_>, options: &Options) -> Result<Optimized, MqoError> {
         let opts = options.greedy;
         let pdag = &ctx.pdag;

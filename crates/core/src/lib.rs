@@ -26,9 +26,11 @@
 //!   the greatest benefit, computed with the three §4 optimizations:
 //!   sharability pre-filtering, incremental cost update (Figure 5), and
 //!   the monotonicity heuristic.
-//! * [`Exhaustive`] — enumerates candidate subsets and serves as a
-//!   ground-truth oracle for small inputs (it is doubly exponential in
-//!   spirit; capped).
+//! * [`Exhaustive`] — enumerates every subset of at most
+//!   `MAX_CANDIDATES` = 16 candidates. It is exact only for inputs with
+//!   at most 16 candidates; above that it keeps the 16 of highest degree
+//!   of sharing and may cost more than Greedy (it does on BQ2–BQ5 and
+//!   CQ1–CQ5).
 
 mod consolidated;
 mod exhaustive;

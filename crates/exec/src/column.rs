@@ -379,40 +379,27 @@ impl Column {
     }
 
     /// Retains in `sel` only the rows where `self[i] op v` holds under
-    /// SQL predicate semantics (Null never matches). The hot typed
-    /// combinations run as tight loops over primitive slices.
+    /// SQL predicate semantics: `cmp_maybe(..).is_some_and(|o|
+    /// op.matches(o))`, so Null never matches. A typed column against a
+    /// constant of its kind dispatches on the operator once and runs one
+    /// compaction over `sel` with no data-dependent branch; the `Val`
+    /// fallback compares cell by cell.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is a string while the column is numeric.
+    /// Panics when `sel` holds a row index past the column's end.
     pub fn refine_cmp_value(&self, op: CmpOp, v: &Value, sel: &mut Vec<u32>) {
-        let nulls = self.nulls.any();
-        match (&self.data, v) {
-            (_, Value::Null) => sel.clear(),
-            (ColumnData::Int(d), _) if v.as_f64().is_some() => {
-                let y = v.as_f64().unwrap();
-                sel.retain(|&i| {
-                    let i = i as usize;
-                    !(nulls && self.nulls.is_null(i))
-                        && (d[i] as f64).partial_cmp(&y).is_some_and(|o| op.matches(o))
-                });
+        match (&self.data, v.as_f64(), v) {
+            (_, _, Value::Null) => sel.clear(),
+            (ColumnData::Int(d), Some(y), _) => {
+                self.refine_typed(self, op, |i| d[i] as f64, |_| y, sel)
             }
-            (ColumnData::Float(d), _) if v.as_f64().is_some() => {
-                let y = v.as_f64().unwrap();
-                sel.retain(|&i| {
-                    let i = i as usize;
-                    !(nulls && self.nulls.is_null(i))
-                        && d[i].partial_cmp(&y).is_some_and(|o| op.matches(o))
-                });
-            }
-            (ColumnData::Str(d), Value::Str(s)) => {
+            (ColumnData::Float(d), Some(y), _) => self.refine_typed(self, op, |i| d[i], |_| y, sel),
+            (ColumnData::Str(d), _, Value::Str(s)) => {
                 let s: &str = s;
-                sel.retain(|&i| {
-                    let i = i as usize;
-                    !(nulls && self.nulls.is_null(i)) && op.matches(d[i].as_ref().cmp(s))
-                });
+                self.refine_typed(self, op, |i| &*d[i], |_| s, sel);
             }
-            (ColumnData::Val(d), _) => {
+            (ColumnData::Val(d), _, _) => {
                 let rhs = Cell::of(v);
                 sel.retain(|&i| {
                     Cell::of(&d[i as usize])
@@ -435,13 +422,8 @@ impl Column {
     /// Panics when `sel` holds a row index past either column's end.
     pub fn refine_cmp_col(&self, op: CmpOp, other: &Column, sel: &mut Vec<u32>) {
         match (&self.data, &other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) if !self.nulls.any() && !other.nulls.any() => {
-                sel.retain(|&i| {
-                    let i = i as usize;
-                    (a[i] as f64)
-                        .partial_cmp(&(b[i] as f64))
-                        .is_some_and(|o| op.matches(o))
-                });
+            (ColumnData::Int(a), ColumnData::Int(b)) => {
+                self.refine_typed(other, op, |i| a[i] as f64, |i| b[i] as f64, sel);
             }
             _ => sel.retain(|&i| {
                 let i = i as usize;
@@ -449,6 +431,27 @@ impl Column {
                     .cmp_maybe(other.cell(i))
                     .is_some_and(|o| op.matches(o))
             }),
+        }
+    }
+
+    /// The typed selection kernel: keeps the rows of `sel` where neither
+    /// `self` nor `other` is null and `x(i) op y(i)`. (A comparison
+    /// against a constant passes `self` as `other`.) The null masks fold
+    /// into the kept flag, so a column without nulls pays nothing for
+    /// them.
+    fn refine_typed<T: Operand>(
+        &self,
+        other: &Column,
+        op: CmpOp,
+        x: impl Fn(usize) -> T,
+        y: impl Fn(usize) -> T,
+        sel: &mut Vec<u32>,
+    ) {
+        let (a, b) = (&self.nulls, &other.nulls);
+        if a.any() || b.any() {
+            refine_by(op, |i| !(a.is_null(i) | b.is_null(i)), x, y, sel);
+        } else {
+            refine_by(op, |_| true, x, y, sel);
         }
     }
 
@@ -479,6 +482,63 @@ impl Column {
         };
         Column { data, nulls }
     }
+}
+
+/// An operand of the typed selection kernels, compared with Rust's
+/// operators: on `f64` they are false when either side is NaN, which is
+/// `partial_cmp(..).is_some_and(|o| op.matches(o))` exactly, except for
+/// `!=`, which NaN satisfies.
+trait Operand: PartialOrd + Copy {
+    /// `self <> y` under SQL semantics.
+    fn sql_ne(self, y: Self) -> bool;
+}
+
+impl Operand for f64 {
+    #[inline]
+    fn sql_ne(self, y: f64) -> bool {
+        (self < y) | (self > y)
+    }
+}
+
+impl Operand for &str {
+    #[inline]
+    fn sql_ne(self, y: &str) -> bool {
+        self != y
+    }
+}
+
+/// Keeps the rows `i` of `sel` where `valid(i)` and `x(i) op y(i)`,
+/// matching on `op` once: each arm is its own [`compact`] loop.
+#[inline]
+fn refine_by<T: Operand>(
+    op: CmpOp,
+    valid: impl Fn(usize) -> bool,
+    x: impl Fn(usize) -> T,
+    y: impl Fn(usize) -> T,
+    sel: &mut Vec<u32>,
+) {
+    match op {
+        CmpOp::Lt => compact(sel, |i| valid(i) & (x(i) < y(i))),
+        CmpOp::Le => compact(sel, |i| valid(i) & (x(i) <= y(i))),
+        CmpOp::Eq => compact(sel, |i| valid(i) & (x(i) == y(i))),
+        CmpOp::Ge => compact(sel, |i| valid(i) & (x(i) >= y(i))),
+        CmpOp::Gt => compact(sel, |i| valid(i) & (x(i) > y(i))),
+        CmpOp::Ne => compact(sel, |i| valid(i) & x(i).sql_ne(y(i))),
+    }
+}
+
+/// Keeps the rows `i` of `sel` with `keep(i)`, in order. Every row is
+/// written and the write cursor advances by the flag, so no branch
+/// depends on the data.
+#[inline]
+fn compact(sel: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut k = 0;
+    for j in 0..sel.len() {
+        let i = sel[j];
+        sel[k] = i;
+        k += usize::from(keep(i as usize));
+    }
+    sel.truncate(k);
 }
 
 /// Incremental [`Column`] constructor with type inference: the first

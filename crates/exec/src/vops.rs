@@ -22,8 +22,9 @@ use crate::table::Table;
 use mqo_catalog::ColId;
 use mqo_expr::{AggExpr, Atom, CmpOp, Conjunct, Predicate, ScalarExpr, Value};
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Rows per batch of a selection or a join probe. One fixed size: in
@@ -392,9 +393,16 @@ pub fn nl_join(outer: &Table, inner: &Table, pred: &Predicate, params: &Params) 
         (Some(o), Some(i)) => {
             // image 0 is Null, which has no key
             let key = |images: &[u64], r: usize| Some(images[r]).filter(|&k| k != 0);
-            HashBuckets::build(o.len(), |r| key(&o, r), i.len(), |r| key(&i, r))
+            HashBuckets::build(
+                ImageHashState::new(),
+                o.len(),
+                |r| key(&o, r),
+                i.len(),
+                |r| key(&i, r),
+            )
         }
         _ => HashBuckets::build(
+            RandomState::new(),
             outer_key.len(),
             |r| outer_key.cell(r).join_key(),
             inner_key.len(),
@@ -455,9 +463,13 @@ impl HashBuckets {
     /// Hashes the outer side's keys (`None` = keyless, never matches;
     /// rows sharing a key chain through `next`), scans the inner side
     /// once, and regroups the (outer, inner) hits by outer row with a
-    /// counting pass — stable, so each bucket keeps scan order. The
-    /// table is only ever probed, never iterated.
-    fn build<K: Eq + Hash>(
+    /// counting pass — stable, so each bucket keeps scan order. An
+    /// inner key that the [`Prefilter`] rejects skips the table; most
+    /// inner rows of a selective join miss, and the filter's one bit
+    /// answers them from cache. The table is only ever probed, never
+    /// iterated, so its hash cannot reach the output.
+    fn build<K: Eq + Hash, S: BuildHasher>(
+        hasher: S,
         n_outer: usize,
         outer_key: impl Fn(usize) -> Option<K>,
         n_inner: usize,
@@ -465,13 +477,12 @@ impl HashBuckets {
     ) -> HashBuckets {
         const END: u32 = u32::MAX;
         let mut next = vec![END; n_outer];
-        // std's keyed SipHash, not the workspace's Fx: the keys are user
-        // data, and the `f64` images of small integers end in 30+ zero
-        // bits, which Fx's single multiply would leave as the bucket index.
-        let mut first: HashMap<K, u32> = HashMap::with_capacity(n_outer);
+        let mut first: HashMap<K, u32, S> = HashMap::with_capacity_and_hasher(n_outer, hasher);
+        let mut filter = Prefilter::new(n_outer);
         // back to front, so every chain runs in ascending outer row order
         for o in (0..n_outer).rev() {
             if let Some(key) = outer_key(o) {
+                filter.insert(first.hasher().hash_one(&key));
                 if let Some(later) = first.insert(key, o as u32) {
                     next[o] = later;
                 }
@@ -483,6 +494,9 @@ impl HashBuckets {
             let Some(key) = inner_key(r) else {
                 continue;
             };
+            if !filter.may_hold(first.hasher().hash_one(&key)) {
+                continue;
+            }
             let mut o = first.get(&key).copied().unwrap_or(END);
             while o != END {
                 hits.push((o, r as u32));
@@ -506,6 +520,99 @@ impl HashBuckets {
     fn of(&self, o: usize) -> &[u32] {
         &self.rows[self.starts[o]..self.starts[o + 1]]
     }
+}
+
+/// One bit per slot, 16 slots per build row, set at the slot a key's
+/// hash names: a clear bit proves the key absent, and a probe key that
+/// is absent finds its bit set with probability at most 1/16.
+struct Prefilter {
+    words: Vec<u64>,
+    /// `64 - log2(slots)`: a hash's top bits name its slot.
+    shift: u32,
+}
+
+impl Prefilter {
+    /// An empty filter for up to `rows` build rows.
+    fn new(rows: usize) -> Prefilter {
+        let slots = (rows * 16).next_power_of_two().max(64);
+        Prefilter {
+            words: vec![0; slots / 64],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    fn insert(&mut self, h: u64) {
+        let (w, bit) = self.slot(h);
+        self.words[w] |= bit;
+    }
+
+    fn slot(&self, h: u64) -> (usize, u64) {
+        let s = h >> self.shift;
+        ((s >> 6) as usize, 1 << (s & 63))
+    }
+
+    /// False only if no build key has hash `h`.
+    fn may_hold(&self, h: u64) -> bool {
+        let (w, bit) = self.slot(h);
+        self.words[w] & bit != 0
+    }
+}
+
+/// Hashes the hash join's `u64` key images with splitmix64's finalizer
+/// over a seed drawn once per build from std's [`RandomState`], so the
+/// hash stays keyed per process. The finalizer avalanches fully: the
+/// images of small integers, which end in 30+ zero bits, spread over
+/// every bit of the hash (Fx's single multiply would leave those zeros
+/// as the bucket index). The images hash the server's own data, which
+/// no statement writes; the `JoinKey` cell path keeps SipHash.
+struct ImageHashState {
+    seed: u64,
+}
+
+impl ImageHashState {
+    fn new() -> Self {
+        ImageHashState {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for ImageHashState {
+    type Hasher = ImageHasher;
+
+    fn build_hasher(&self) -> ImageHasher {
+        ImageHasher { state: self.seed }
+    }
+}
+
+/// See [`ImageHashState`].
+struct ImageHasher {
+    state: u64,
+}
+
+impl Hasher for ImageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            // little-endian, as `u64::from_le_bytes` of the padded chunk
+            self.write_u64(chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.state = splitmix64(self.state ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// splitmix64's output function: a bijection on `u64` in which every
+/// input bit flips each output bit with probability ≈ 1/2.
+fn splitmix64(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Batched merge join of two inputs sorted on their key columns. Key

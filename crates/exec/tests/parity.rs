@@ -10,8 +10,8 @@ use mqo_catalog::{Catalog, ColId, ColStats, ColType, TableId};
 use mqo_core::Optimizer;
 use mqo_exec::ops::{self, Params};
 use mqo_exec::{
-    execute_plan_with, generate_database, normalize_result, try_execute_plan_seeded, vops,
-    Database, ExecMode, ExecOptions, ExecOutcome, Row, Table,
+    execute_plan_with, generate_database, normalize_result, try_execute_plan_seeded, vops, Cell,
+    Column, ColumnData, Database, ExecMode, ExecOptions, ExecOutcome, Row, Table,
 };
 use mqo_expr::{AggExpr, AggFunc, Atom, CmpOp, Conjunct, ParamId, Predicate, ScalarExpr, Value};
 use mqo_logical::{Batch, LogicalPlan, Query};
@@ -20,6 +20,7 @@ use mqo_util::FxHashMap;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ---- strict comparison --------------------------------------------------
@@ -931,6 +932,272 @@ fn chunk_boundaries_parity() {
     assert!(want.len() > 1_024);
     let got = vops::merge_join(&outer, &t, &lk, &rk, &residual, &params);
     assert!(tables_identical(&want, &got), "merge join");
+}
+
+// ---- the typed selection and hash-probe kernels ------------------------
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Eq,
+    CmpOp::Ge,
+    CmpOp::Gt,
+    CmpOp::Ne,
+];
+
+/// The edge values of each column kind the typed kernels special-case:
+/// the `i64` extremes, ±2^53 and 2^53 + 1 (which ties 2^53 through
+/// `f64`), NaN, ±0.0, infinities and the empty string.
+fn edge_values(kind: u8) -> Vec<Value> {
+    const BIG: i64 = 1 << 53;
+    match kind {
+        0 => [i64::MIN, -BIG, -1, 0, 1, BIG, BIG + 1, i64::MAX]
+            .map(Value::Int)
+            .to_vec(),
+        1 => [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -(BIG as f64),
+            -0.0,
+            0.0,
+            0.5,
+            BIG as f64,
+            f64::INFINITY,
+        ]
+        .map(Value::Float)
+        .to_vec(),
+        _ => ["", "a", "ab", "b", "\u{e9}"].map(Value::str).to_vec(),
+    }
+}
+
+/// `n` rows cycling through `pool` from `phase`, every seventh row Null
+/// when `nulls`.
+fn edge_column(pool: &[Value], n: usize, phase: usize, nulls: bool) -> Vec<Value> {
+    (0..n)
+        .map(|r| match r % 7 == 3 && nulls {
+            true => Value::Null,
+            false => pool[(r + phase) % pool.len()].clone(),
+        })
+        .collect()
+}
+
+/// Every `CmpOp` of an `Int`, `Float` or `Str` column, with and without
+/// Nulls, against every edge constant of every kind (and Null): the
+/// typed kernel keeps exactly the rows `Cell::cmp_maybe` + `op.matches`
+/// keeps, from a full and from a gapped selection, at 1 023, 1 024 and
+/// 1 025 rows; and the filter is the row engine's, bit for bit.
+#[test]
+fn typed_selection_kernels_parity() {
+    let consts: Vec<Value> = (0..3).flat_map(edge_values).chain([Value::Null]).collect();
+    let params = Params::default();
+    let mut kept = 0usize;
+    for kind in 0..3u8 {
+        for nulls in [false, true] {
+            for n in [1_023, 1_024, 1_025] {
+                let values = edge_column(&edge_values(kind), n, n, nulls);
+                let t = Table::new(
+                    vec![ColId(0)],
+                    values.into_iter().map(|v| vec![v]).collect(),
+                );
+                let col = t.col(0);
+                for op in OPS {
+                    for v in &consts {
+                        let reference = |sel: &[u32]| -> Vec<u32> {
+                            sel.iter()
+                                .copied()
+                                .filter(|&i| {
+                                    col.cell(i as usize)
+                                        .cmp_maybe(Cell::of(v))
+                                        .is_some_and(|o| op.matches(o))
+                                })
+                                .collect()
+                        };
+                        for sel in [
+                            (0..n as u32).collect::<Vec<_>>(),
+                            (1..n as u32).step_by(3).collect(),
+                        ] {
+                            let want = reference(&sel);
+                            let mut got = sel;
+                            col.refine_cmp_value(op, v, &mut got);
+                            assert_eq!(
+                                got, want,
+                                "kind {kind}, nulls {nulls}, n {n}: x {op:?} {v}"
+                            );
+                            kept += got.len();
+                        }
+                        let pred = Predicate::atom(Atom::cmp(ColId(0), op, v.clone()));
+                        let want = row_filter(&t, &pred, &params);
+                        let got = vops::filter(&t, &pred, &params);
+                        assert!(tables_identical(&want, &got), "kind {kind}, n {n}: {pred}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(kept > 100_000, "the cases keep rows: {kept}");
+}
+
+/// The `Int`/`Int` column-column kernel, with and without Nulls on
+/// either side, against `Cell::cmp_maybe` + `op.matches` and the row
+/// engine, across a chunk boundary.
+#[test]
+fn typed_column_column_kernel_parity() {
+    let pool = edge_values(0);
+    let params = Params::default();
+    for (a_nulls, b_nulls) in [(false, false), (true, false), (false, true), (true, true)] {
+        let a = edge_column(&pool, 1_025, 0, a_nulls);
+        // a different phase (and Null rows offset by one) pairs every
+        // value with every other
+        let mut b = edge_column(&pool, 1_026, 3, b_nulls);
+        b.remove(0);
+        let t = Table::new(
+            vec![ColId(0), ColId(1)],
+            a.into_iter().zip(b).map(|(x, y)| vec![x, y]).collect(),
+        );
+        let (x, y) = (t.col(0), t.col(1));
+        for op in OPS {
+            let mut got: Vec<u32> = (0..t.len() as u32).collect();
+            x.refine_cmp_col(op, y, &mut got);
+            let want: Vec<u32> = (0..t.len() as u32)
+                .filter(|&i| {
+                    let i = i as usize;
+                    x.cell(i)
+                        .cmp_maybe(y.cell(i))
+                        .is_some_and(|o| op.matches(o))
+                })
+                .collect();
+            assert_eq!(got, want, "nulls {a_nulls}/{b_nulls}: {op:?}");
+            let pred = Predicate::atom(Atom::col_cmp(ColId(0), op, ColId(1)));
+            let want = row_filter(&t, &pred, &params);
+            assert!(!want.is_empty() || op == CmpOp::Eq, "{op:?}");
+            assert!(
+                tables_identical(&want, &vops::filter(&t, &pred, &params)),
+                "{pred}"
+            );
+        }
+    }
+}
+
+/// `keyed(base, keys)` with its key column in the mixed-type `Val`
+/// representation, which takes the hash join's `JoinKey` cell path
+/// whatever the keys are.
+fn keyed_val(base: u32, keys: Vec<Value>) -> Table {
+    let n = keys.len() as u32;
+    let t = keyed(base, keys.clone());
+    // a string then a number degrade the column; gathering keeps `Val`
+    let mixed = [Value::str("x"), Value::Int(0)].into_iter().chain(keys);
+    let key = Column::from_values(mixed).gather(&(2..n + 2).collect::<Vec<_>>());
+    assert!(matches!(key.data(), ColumnData::Val(_)));
+    Table::from_columns(t.schema.clone(), vec![key, t.col(1).clone()])
+}
+
+/// (name, outer keys, inner keys, the expected match count's test)
+type JoinCase = (&'static str, Vec<Value>, Vec<Value>, fn(usize) -> bool);
+
+/// The `u64` image path of the hash join (splitmix64 table behind a
+/// prefilter) against the `JoinKey` cell path over the same keys held
+/// as `Val` columns, and both against the row engine: all-miss,
+/// all-hit, duplicate-heavy and all-Null outers, and edge keys.
+#[test]
+fn nl_join_image_path_equals_cell_path() {
+    let rng = &mut StdRng::seed_from_u64(0x5EED_2015_0831);
+    let ints = |keys: Vec<i64>| keys.into_iter().map(Value::Int).collect::<Vec<_>>();
+    let mut draw = |n: usize, lo: i64, hi: i64| -> Vec<Value> {
+        (0..n)
+            .map(|_| Value::Int(rng.random_range(lo..hi)))
+            .collect()
+    };
+    let cases: Vec<JoinCase> = vec![
+        (
+            "all-miss",
+            draw(300, 0, 1_000),
+            draw(3_000, 1_000, 9_000),
+            |m| m == 0,
+        ),
+        (
+            "all-hit",
+            ints((0..100).collect()),
+            draw(3_000, 0, 100),
+            |m| m == 3_000,
+        ),
+        ("duplicate-heavy", draw(400, 0, 8), draw(2_000, 0, 8), |m| {
+            m > 50_000
+        }),
+        (
+            "all-Null outer",
+            vec![Value::Null; 50],
+            draw(2_000, 0, 8),
+            |m| m == 0,
+        ),
+        (
+            "edge keys",
+            edge_column(&edge_values(0), 64, 0, true),
+            edge_column(&edge_values(0), 1_100, 5, true),
+            |m| m > 0,
+        ),
+    ];
+    let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
+    let params = Params::default();
+    for (name, outer_keys, inner_keys, expect) in cases {
+        let (outer, inner) = (keyed(0, outer_keys.clone()), keyed(10, inner_keys.clone()));
+        let want = row_nl_join(&outer, &inner, &pred, &params);
+        assert!(expect(want.len()), "{name}: {} matches", want.len());
+        let images = vops::nl_join(&outer, &inner, &pred, &params);
+        assert!(tables_identical(&want, &images), "{name}: image path");
+        let (vo, vi) = (keyed_val(0, outer_keys), keyed_val(10, inner_keys));
+        for (o, i, path) in [
+            (&vo, &vi, "Val ⋈ Val"),
+            (&outer, &vi, "Int ⋈ Val"),
+            (&vo, &inner, "Val ⋈ Int"),
+        ] {
+            let cells = vops::nl_join(o, i, &pred, &params);
+            assert!(tables_identical(&images, &cells), "{name}: {path}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The prefilter never drops a match: over random `Int` keys (Nulls
+    /// and 2^53 ties included, domains from dense to sparse), the image
+    /// path's (outer, inner) pairs are exactly those of a `BTreeMap`
+    /// grouping the inner rows by the `f64` the comparison widens to.
+    #[test]
+    fn hash_prefilter_never_drops_a_match(seed in any::<u64>()) {
+        const BIG: i64 = 1 << 53;
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let domain = [4i64, 64, 4_096, 1 << 20][rng.random_range(0usize..4)];
+        let (n_outer, n_inner) = (rng.random_range(0usize..600), rng.random_range(0usize..3_000));
+        let mut keys = |n: usize| -> Vec<Value> {
+            (0..n)
+                .map(|_| match rng.random_range(0u32..20) {
+                    0 => Value::Null,
+                    1 => Value::Int(BIG + rng.random_range(-2i64..3)),
+                    _ => Value::Int(rng.random_range(-domain..domain)),
+                })
+                .collect()
+        };
+        let (outer, inner) = (keyed(0, keys(n_outer)), keyed(10, keys(n_inner)));
+        let mut groups: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for r in 0..inner.len() {
+            if let Value::Int(k) = inner.col(0).get(r) {
+                groups.entry((k as f64).to_bits()).or_default().push(r as u32);
+            }
+        }
+        let mut want = Vec::new();
+        for o in 0..outer.len() {
+            if let Value::Int(k) = outer.col(0).get(o) {
+                let bucket = groups.get(&(k as f64).to_bits()).map_or(&[][..], Vec::as_slice);
+                want.extend(bucket.iter().map(|&r| (o as i64, i64::from(r))));
+            }
+        }
+        let pred = Predicate::atom(Atom::eq_cols(ColId(0), ColId(10)));
+        let got = vops::nl_join(&outer, &inner, &pred, &Params::default());
+        let tag = |p: usize, r: usize| got.col(p).get(r).as_i64().unwrap();
+        let pairs: Vec<(i64, i64)> = (0..got.len()).map(|r| (tag(1, r), tag(3, r))).collect();
+        prop_assert_eq!(pairs, want);
+    }
 }
 
 // ---- engine-level parity ------------------------------------------------
